@@ -1,22 +1,21 @@
 #include "src/block/block_layer.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/metrics/metrics.h"
+#include "src/sim/actor_local.h"
 #include "src/trace/tracer.h"
 
 namespace ccnvme {
 
+// The hardware queue an actor submits on, and its plug list while it is
+// plugged. Both are per actor (src/sim/actor_local.h), so no cross-actor
+// synchronization is needed.
 namespace {
-thread_local uint16_t tls_queue = 0;
-thread_local bool tls_plugged = false;
-}  // namespace
-
-// Per-actor plug list. Keyed by the actor's thread (thread_local), so no
-// cross-actor synchronization is needed.
-namespace {
-thread_local std::vector<BlockLayer::PluggedWrite>* tls_plug_list = nullptr;
+ActorLocal<uint16_t> actor_queue;
+ActorLocal<std::vector<BlockLayer::PluggedWrite>*> actor_plug_list;
 }  // namespace
 
 BlockLayer::BlockLayer(Simulator* sim, NvmeDriver* nvme, CcNvmeDriver* cc,
@@ -28,10 +27,10 @@ BlockLayer::BlockLayer(Simulator* sim, NvmeDriver* nvme, CcNvmeDriver* cc,
 
 void BlockLayer::BindQueue(uint16_t qid) {
   CCNVME_CHECK_LT(qid, nvme_->num_queues());
-  tls_queue = qid;
+  actor_queue.get() = qid;
 }
 
-uint16_t BlockLayer::current_queue() const { return tls_queue; }
+uint16_t BlockLayer::current_queue() const { return actor_queue.get(); }
 
 uint64_t BlockLayer::Record(BioOp op, uint64_t lba, uint32_t flags, uint64_t tx_id,
                             const Buffer* data) {
@@ -66,16 +65,16 @@ NvmeDriver::RequestHandle BlockLayer::DispatchWrite(uint64_t lba, const Buffer* 
                                                     uint32_t flags,
                                                     std::function<void()> on_complete) {
   if (volume_ != nullptr) {
-    return volume_->SubmitWrite(tls_queue, lba, data, flags, std::move(on_complete));
+    return volume_->SubmitWrite(actor_queue.get(), lba, data, flags, std::move(on_complete));
   }
-  return nvme_->SubmitWrite(tls_queue, lba, data, fua, 0, 0, std::move(on_complete));
+  return nvme_->SubmitWrite(actor_queue.get(), lba, data, fua, 0, 0, std::move(on_complete));
 }
 
 Status BlockLayer::DispatchFlush() {
   if (volume_ != nullptr) {
-    return volume_->Flush(tls_queue);
+    return volume_->Flush(actor_queue.get());
   }
-  return nvme_->Flush(tls_queue);
+  return nvme_->Flush(actor_queue.get());
 }
 
 void BlockLayer::RecordTxDurable(uint64_t tx_id) {
@@ -90,16 +89,13 @@ void BlockLayer::RecordTxDurable(uint64_t tx_id) {
 }
 
 void BlockLayer::Plug() {
-  CCNVME_CHECK(!tls_plugged) << "nested Plug";
-  tls_plugged = true;
-  tls_plug_list = new std::vector<PluggedWrite>();
+  CCNVME_CHECK(actor_plug_list.get() == nullptr) << "nested Plug";
+  actor_plug_list.get() = new std::vector<PluggedWrite>();
 }
 
 void BlockLayer::Unplug() {
-  CCNVME_CHECK(tls_plugged) << "Unplug without Plug";
-  std::unique_ptr<std::vector<PluggedWrite>> list(tls_plug_list);
-  tls_plug_list = nullptr;
-  tls_plugged = false;
+  CCNVME_CHECK(actor_plug_list.get() != nullptr) << "Unplug without Plug";
+  std::unique_ptr<std::vector<PluggedWrite>> list(std::exchange(actor_plug_list.get(), nullptr));
   if (list->empty()) {
     return;
   }
@@ -162,7 +158,7 @@ NvmeDriver::RequestHandle BlockLayer::SubmitWrite(uint64_t lba, const Buffer* da
   CCNVME_CHECK(data != nullptr);
   Simulator::Sleep(costs_.block_layer_submit_ns);
   if (Tracer* t = sim_->tracer()) t->Instant(TracePoint::kBioSubmit, lba);
-  if (tls_plugged && flags == 0) {
+  if (actor_plug_list.get() != nullptr && flags == 0) {
     // Batched: hand back a placeholder handle completed at merge dispatch.
     PluggedWrite w;
     w.record_seq = Record(BioOp::kWrite, lba, flags, 0, data);
@@ -170,7 +166,7 @@ NvmeDriver::RequestHandle BlockLayer::SubmitWrite(uint64_t lba, const Buffer* da
     w.data = data;
     w.handle = std::make_shared<NvmeDriver::Request>(sim_);
     w.on_complete = std::move(on_complete);
-    tls_plug_list->push_back(w);
+    actor_plug_list.get()->push_back(w);
     return w.handle;
   }
   if ((flags & kBioPreflush) != 0 && needs_flush_) {
@@ -200,9 +196,9 @@ Status BlockLayer::WriteSync(uint64_t lba, const Buffer& data, uint32_t flags) {
 Status BlockLayer::ReadSync(uint64_t lba, uint32_t num_blocks, Buffer* out) {
   Simulator::Sleep(costs_.block_layer_submit_ns);
   if (volume_ != nullptr) {
-    return volume_->Read(tls_queue, lba, num_blocks, out);
+    return volume_->Read(actor_queue.get(), lba, num_blocks, out);
   }
-  return nvme_->Read(tls_queue, lba, num_blocks, out);
+  return nvme_->Read(actor_queue.get(), lba, num_blocks, out);
 }
 
 Status BlockLayer::FlushSync() {
@@ -230,14 +226,14 @@ void BlockLayer::SubmitTxWrite(uint64_t tx_id, uint64_t lba, const Buffer* data,
     m->monitors().OnTxMemberStaged(tx_id);
   }
   if (volume_ != nullptr) {
-    volume_->SubmitTx(tls_queue, tx_id, lba, data, std::move(on_complete));
+    volume_->SubmitTx(actor_queue.get(), tx_id, lba, data, std::move(on_complete));
     return;
   }
   const uint64_t seq = Record(BioOp::kWrite, lba, kBioTx, tx_id, data);
   if (seq != 0) {
     tx_members_[tx_id].push_back(seq);
   }
-  cc_->SubmitTx(tls_queue, tx_id, lba, data, std::move(on_complete));
+  cc_->SubmitTx(actor_queue.get(), tx_id, lba, data, std::move(on_complete));
 }
 
 CcNvmeDriver::TxHandle BlockLayer::CommitTx(uint64_t tx_id, uint64_t lba, const Buffer* data,
@@ -253,7 +249,7 @@ CcNvmeDriver::TxHandle BlockLayer::CommitTx(uint64_t tx_id, uint64_t lba, const 
     m->monitors().OnTxCommitRecord(tx_id);
   }
   if (volume_ != nullptr) {
-    return volume_->CommitTx(tls_queue, tx_id, lba, data, std::move(on_durable));
+    return volume_->CommitTx(actor_queue.get(), tx_id, lba, data, std::move(on_durable));
   }
   const uint64_t seq = Record(BioOp::kWrite, lba, kBioTx | kBioTxCommit, tx_id, data);
   if (seq != 0) {
@@ -265,7 +261,7 @@ CcNvmeDriver::TxHandle BlockLayer::CommitTx(uint64_t tx_id, uint64_t lba, const 
       cb();
     }
   };
-  return cc_->CommitTx(tls_queue, tx_id, lba, data, std::move(wrapped));
+  return cc_->CommitTx(actor_queue.get(), tx_id, lba, data, std::move(wrapped));
 }
 
 void BlockLayer::WaitTxDurable(const CcNvmeDriver::TxHandle& tx) {

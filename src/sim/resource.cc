@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
+#include "src/sim/actor_local.h"
 
 namespace ccnvme {
 
@@ -59,17 +60,20 @@ CoreSet::CoreSet(Simulator* sim, int num_cores, uint64_t context_switch_ns)
 }
 
 namespace {
-thread_local int tls_bound_core = -1;
+ActorLocal<int> actor_bound_core{-1};
 }  // namespace
 
 void CoreSet::BindCurrent(int core) {
   CCNVME_CHECK(core >= 0 && core < num_cores()) << "bad core " << core;
-  tls_bound_core = core;
+  actor_bound_core.get() = core;
 }
 
+int CoreSet::current_core() const { return actor_bound_core.get(); }
+
 void CoreSet::Work(uint64_t ns) {
-  CCNVME_CHECK_GE(tls_bound_core, 0) << "actor not bound to a core";
-  WorkOn(tls_bound_core, ns);
+  const int core = current_core();
+  CCNVME_CHECK_GE(core, 0) << "actor not bound to a core";
+  WorkOn(core, ns);
 }
 
 void CoreSet::WorkOn(int core, uint64_t ns) {

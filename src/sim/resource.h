@@ -89,6 +89,8 @@ class CoreSet {
 
   // Binds the calling actor to |core|; subsequent Work() calls use it.
   void BindCurrent(int core);
+  // The calling actor's bound core, or -1 if it has not bound one.
+  int current_core() const;
   // Consumes |ns| of CPU on the calling actor's bound core.
   void Work(uint64_t ns);
   // Consumes CPU on an explicit core (for event-context interrupt handlers).

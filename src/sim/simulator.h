@@ -2,10 +2,12 @@
 //
 // The simulator owns a virtual clock and an event queue. Host software
 // (file systems, drivers, workloads) and device controllers run as *actors*:
-// cooperative threads of which exactly one executes at a time. An actor
-// hands control back to the event loop whenever it sleeps, performs modeled
-// CPU work, or blocks on a synchronization primitive, so a run is fully
-// deterministic for a given set of actors and seeds.
+// user-space fibers, each with its own stack, that run one at a time on the
+// OS thread driving the event loop. An actor hands control back to the event
+// loop whenever it sleeps, performs modeled CPU work, or blocks on a
+// synchronization primitive, so a run is fully deterministic for a given set
+// of actors and seeds. Because actors share an OS thread, per-actor state is
+// an ActorLocal (src/sim/actor_local.h), never a thread_local.
 //
 // Usage:
 //   Simulator sim;
@@ -14,20 +16,19 @@
 //
 // All actor-side entry points (Sleep, SuspendCurrent, ...) must be called
 // from inside an actor body. Event callbacks scheduled with Schedule() run
-// on the event-loop thread and must not block; they typically just resume
-// actors or enqueue work.
+// on the event loop, outside any actor, and must not block; they typically
+// just resume actors or enqueue work.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
+
+#include "src/sim/actor_local.h"
 
 namespace ccnvme {
 
@@ -35,14 +36,20 @@ class Simulator;
 class Tracer;   // src/trace — the sim only carries the pointer
 class Metrics;  // src/metrics — same attachment contract as the tracer
 
-// Thrown inside actor bodies when the simulation shuts down; the actor
-// trampoline catches it. User code should not catch it (catch(...) handlers
-// on actor paths must rethrow).
+namespace sim_internal {
+struct Fiber;  // saved registers and stack, defined in simulator.cc
+}  // namespace sim_internal
+
+// Thrown inside actor bodies when the simulation shuts down; the actor's
+// entry function catches it. User code should not catch it (catch(...)
+// handlers on actor paths must rethrow).
 struct SimShutdown {};
 
 // A cooperative simulated thread. Created via Simulator::Spawn.
 class Actor {
  public:
+  ~Actor();
+
   const std::string& name() const { return name_; }
   bool done() const { return state_ == RunState::kDone; }
 
@@ -60,12 +67,9 @@ class Actor {
   std::string name_;
   std::function<void()> body_;
   RunState state_ = RunState::kNotStarted;
-
-  // Handshake with the event loop.
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool go_ = false;
-  std::thread thread_;
+  // Created when the actor first runs, released once its body has finished.
+  std::unique_ptr<sim_internal::Fiber> fiber_;
+  sim_internal::ActorLocalBlock locals_;
 };
 
 class Simulator {
@@ -93,13 +97,15 @@ class Simulator {
   void RunFor(uint64_t duration_ns);
   void RunUntil(uint64_t time_ns);
 
-  // Wakes every live actor with SimShutdown and joins their threads.
-  // Idempotent; also called by the destructor.
+  // Wakes every started, unfinished actor with SimShutdown and lets it unwind;
+  // actors that never ran are marked done. Idempotent; also called by the
+  // destructor.
   void Shutdown();
 
   // --- Actor-side API ---------------------------------------------------
 
-  // The simulator owning the calling actor (nullptr on non-actor threads).
+  // The simulator owning the calling actor (outside any actor: the simulator
+  // whose actor is running the enclosing event loop, or nullptr).
   static Simulator* Current();
   static Actor* CurrentActor();
 
@@ -147,12 +153,14 @@ class Simulator {
     }
   };
 
-  // Transfers control to |actor| and waits until it yields back or finishes.
+  // Switches to |actor| and returns once it yields back or finishes.
   void RunActor(Actor* actor);
-  // Called from actor threads: gives control back to the event loop and
-  // blocks until resumed. Throws SimShutdown when the simulation is ending.
+  // Called from actors: switches back to the event loop and returns when
+  // resumed. Throws SimShutdown when the simulation is ending.
   void YieldToSim();
-  void ActorTrampoline(Actor* actor);
+  // First code run on an actor's stack. An exception other than SimShutdown
+  // escaping the body terminates the program.
+  static void ActorEntry() noexcept;
   bool ProcessNextEvent(uint64_t limit_ns);
 
   uint64_t now_ns_ = 0;
@@ -163,11 +171,8 @@ class Simulator {
   bool shutdown_ = false;
   Tracer* tracer_ = nullptr;
   Metrics* metrics_ = nullptr;
-
-  // Event-loop side of the handshake.
-  std::mutex loop_mu_;
-  std::condition_variable loop_cv_;
-  bool loop_go_ = false;
+  // The event loop's context while one of its actors runs.
+  std::unique_ptr<sim_internal::Fiber> loop_;
 };
 
 }  // namespace ccnvme

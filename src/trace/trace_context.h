@@ -8,9 +8,10 @@
 // it on the device/bottom-half actors when the command or CQE is processed —
 // so one end-to-end sync decomposes into attributed per-layer spans.
 //
-// Each simulator actor is its own std::thread (see src/sim/simulator.h), so
-// thread_local gives exactly per-actor storage with zero contention — the
-// same trick the block layer uses for its plug lists.
+// The context is per actor (an ActorLocal, src/sim/actor_local.h): it
+// survives the actor's sleeps, a new actor starts unattributed, and the event
+// loop's callbacks see their own copy. The block layer keeps its queue
+// binding and plug list the same way.
 //
 // Ids are allocated and propagated UNCONDITIONALLY, whether or not a Tracer
 // is attached: attribution must never change virtual-time behavior, and the
@@ -21,6 +22,8 @@
 
 #include <cstdint>
 
+#include "src/sim/actor_local.h"
+
 namespace ccnvme {
 
 struct TraceContext {
@@ -30,20 +33,20 @@ struct TraceContext {
 };
 
 namespace trace_internal {
-inline thread_local TraceContext tls_trace_ctx;
+inline ActorLocal<TraceContext> actor_trace_ctx;
 }  // namespace trace_internal
 
-inline TraceContext& MutableTraceContext() { return trace_internal::tls_trace_ctx; }
-inline const TraceContext& CurrentTraceContext() { return trace_internal::tls_trace_ctx; }
+inline TraceContext& MutableTraceContext() { return trace_internal::actor_trace_ctx.get(); }
+inline const TraceContext& CurrentTraceContext() { return trace_internal::actor_trace_ctx.get(); }
 
 // RAII: installs |ctx| for the current actor, restores the previous context
 // on destruction (exception-safe across SimShutdown unwinding).
 class ScopedTraceContext {
  public:
-  explicit ScopedTraceContext(TraceContext ctx) : saved_(trace_internal::tls_trace_ctx) {
-    trace_internal::tls_trace_ctx = ctx;
+  explicit ScopedTraceContext(TraceContext ctx) : saved_(CurrentTraceContext()) {
+    MutableTraceContext() = ctx;
   }
-  ~ScopedTraceContext() { trace_internal::tls_trace_ctx = saved_; }
+  ~ScopedTraceContext() { MutableTraceContext() = saved_; }
 
   ScopedTraceContext(const ScopedTraceContext&) = delete;
   ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include "src/harness/stack.h"
+#include "src/sim/actor_local.h"
 #include "src/sim/resource.h"
 #include "src/sim/simulator.h"
 #include "src/sim/sync.h"
+#include "src/trace/trace_context.h"
 
 namespace ccnvme {
 namespace {
@@ -389,6 +392,202 @@ TEST(CoreSetTest, SharedCoreSerializesAndChargesSwitches) {
   // b starts after a's reservation plus one context switch.
   EXPECT_EQ(b_done, 1100u);
   EXPECT_EQ(cores.context_switches(), 1u);
+}
+
+// --- Actors as fibers: per-actor state, nesting, scale, unwinding ----------
+
+ActorLocal<int> test_local{42};
+
+// The per-actor values of one observer: block-layer queue, bound core, trace
+// context and a plain ActorLocal.
+struct ActorView {
+  uint16_t queue = 0;
+  int core = 0;
+  TraceContext ctx;
+  int local = 0;
+
+  static ActorView Of(StorageStack& stack, const CoreSet& cores) {
+    return ActorView{stack.blk().current_queue(), cores.current_core(),
+                     CurrentTraceContext(), test_local.get()};
+  }
+  bool operator==(const ActorView& o) const {
+    return queue == o.queue && core == o.core && ctx.req_id == o.ctx.req_id &&
+           ctx.tx_id == o.ctx.tx_id && ctx.device == o.ctx.device && local == o.local;
+  }
+};
+
+StackConfig FourQueues() {
+  StackConfig config;
+  config.num_queues = 4;
+  return config;
+}
+
+TEST(ActorLocalTest, NewActorStartsFromDefaults) {
+  StorageStack stack(FourQueues());
+  CoreSet cores(&stack.sim(), 2, 0);
+  ActorView child;
+  ActorView parent_after_sleep;
+  stack.sim().Spawn("parent", [&] {
+    stack.blk().BindQueue(3);
+    cores.BindCurrent(1);
+    ScopedTraceContext ctx({7, 8, 1});
+    test_local.get() = 5;
+    stack.sim().Spawn("child", [&] { child = ActorView::Of(stack, cores); });
+    Simulator::Sleep(10);
+    parent_after_sleep = ActorView::Of(stack, cores);
+  });
+  stack.sim().Run();
+  EXPECT_EQ(child, (ActorView{0, -1, TraceContext{}, 42}));
+  EXPECT_EQ(parent_after_sleep, (ActorView{3, 1, TraceContext{7, 8, 1}, 5}));
+}
+
+TEST(ActorLocalTest, ValuesStayWithTheirActor) {
+  StorageStack stack(FourQueues());
+  CoreSet cores(&stack.sim(), 2, 0);
+  const ActorView loop_before = ActorView::Of(stack, cores);
+  ActorView a_after_sleep, b_before_set, b_after_sleep, in_callback;
+  stack.sim().Spawn("a", [&] {
+    stack.blk().BindQueue(2);
+    cores.BindCurrent(1);
+    MutableTraceContext() = {11, 12, 0};
+    test_local.get() = 1;
+    Simulator::Sleep(100);
+    a_after_sleep = ActorView::Of(stack, cores);
+    MutableTraceContext() = {};
+  });
+  stack.sim().Spawn("b", [&] {
+    Simulator::Sleep(50);  // a is parked with its values set
+    b_before_set = ActorView::Of(stack, cores);
+    stack.blk().BindQueue(1);
+    cores.BindCurrent(0);
+    MutableTraceContext() = {21, 22, 2};
+    test_local.get() = 2;
+    Simulator::Sleep(100);
+    b_after_sleep = ActorView::Of(stack, cores);
+    MutableTraceContext() = {};
+  });
+  stack.sim().Schedule(75, [&] { in_callback = ActorView::Of(stack, cores); });
+  stack.sim().Run();
+  EXPECT_EQ(a_after_sleep, (ActorView{2, 1, TraceContext{11, 12, 0}, 1}));
+  EXPECT_EQ(b_before_set, (ActorView{0, -1, TraceContext{}, 42}));
+  EXPECT_EQ(b_after_sleep, (ActorView{1, 0, TraceContext{21, 22, 2}, 2}));
+  EXPECT_EQ(in_callback, loop_before);
+  EXPECT_EQ(ActorView::Of(stack, cores), loop_before);
+}
+
+TEST(SimulatorTest, NestedSimulatorRunsInsideAnActor) {
+  Simulator outer;
+  std::vector<std::pair<char, uint64_t>> inner_trace;
+  bool inner_actors_saw_inner = true;
+  int callback_local = 0;
+  uint64_t inner_end = 0;
+  uint64_t outer_end = 0;
+  int outer_local_after = 0;
+  Actor* outer_actor = outer.Spawn("outer", [&] {
+    test_local.get() = 9;
+    Simulator::Sleep(5);
+    {
+      Simulator inner;
+      SimCompletion never(&inner);
+      for (char name : {'x', 'y'}) {
+        inner.Spawn(std::string(1, name), [&, name] {
+          for (int i = 0; i < 2; ++i) {
+            Simulator::Sleep(name == 'x' ? 10 : 15);
+            inner_trace.emplace_back(name, inner.now());
+            inner_actors_saw_inner &= Simulator::Current() == &inner;
+          }
+        });
+      }
+      // Parked until the inner simulator is destroyed from this actor.
+      inner.Spawn("parked", [&] { never.Wait(); });
+      // The inner loop runs on this actor, so its callbacks see this copy.
+      inner.Schedule(1, [&] { callback_local = test_local.get(); });
+      inner.Run();
+      inner_end = inner.now();
+    }
+    EXPECT_EQ(Simulator::Current(), &outer);
+    EXPECT_EQ(Simulator::CurrentActor()->name(), "outer");
+    outer_local_after = test_local.get();
+    Simulator::Sleep(10);
+    outer_end = outer.now();
+  });
+  outer.Run();
+  const std::vector<std::pair<char, uint64_t>> want = {
+      {'x', 10}, {'y', 15}, {'x', 20}, {'y', 30}};
+  EXPECT_EQ(inner_trace, want);
+  EXPECT_TRUE(inner_actors_saw_inner);
+  EXPECT_EQ(callback_local, 9);
+  EXPECT_EQ(inner_end, 30u);
+  EXPECT_EQ(outer_local_after, 9);
+  EXPECT_EQ(outer_end, 15u);
+  EXPECT_TRUE(outer_actor->done());
+}
+
+// Counts destructor runs, to observe stack unwinding.
+struct UnwindCounter {
+  explicit UnwindCounter(int* count) : count_(count) {}
+  ~UnwindCounter() { ++*count_; }
+  int* count_;
+};
+
+TEST(SimulatorTest, TenThousandBlockedActors) {
+  constexpr int kActors = 10000;
+  Simulator sim;
+  SimCompletion gate(&sim);
+  int started = 0;
+  int unwound = 0;
+  int finished = 0;
+  for (int i = 0; i < kActors; ++i) {
+    sim.Spawn("blocked" + std::to_string(i), [&, i] {
+      UnwindCounter guard(&unwound);
+      ++started;
+      Simulator::Sleep(static_cast<uint64_t>(i % 7));
+      gate.Wait();
+      ++finished;
+    });
+  }
+  sim.RunFor(100);
+  EXPECT_EQ(started, kActors);
+  EXPECT_EQ(unwound, 0);
+  sim.Shutdown();
+  EXPECT_EQ(unwound, kActors);
+  EXPECT_EQ(finished, 0);
+}
+
+TEST(SimulatorTest, ShutdownUnwindsParkedStacks) {
+  Simulator sim;
+  SimCompletion never(&sim);
+  SimMutex mu(&sim);
+  int unwound = 0;
+  bool body_ran = false;
+  bool passed_park = false;
+  // Parks several frames deep, holding a lock guard, so unwinding crosses
+  // user frames and a sync-primitive destructor.
+  std::function<void(int)> descend = [&](int depth) {
+    UnwindCounter guard(&unwound);
+    if (depth == 0) {
+      SimLockGuard lock(mu);
+      never.Wait();
+      passed_park = true;
+      return;
+    }
+    descend(depth - 1);
+  };
+  Actor* waiter = sim.Spawn("waiter", [&] { descend(3); });
+  Actor* sleeper = sim.Spawn("sleeper", [&] {
+    UnwindCounter guard(&unwound);
+    Simulator::Sleep(1000000);
+    passed_park = true;
+  });
+  sim.RunFor(10);
+  Actor* late = sim.Spawn("late", [&] { body_ran = true; });
+  sim.Shutdown();
+  EXPECT_EQ(unwound, 5);  // four frames of |descend| plus the sleeper
+  EXPECT_FALSE(passed_park);
+  EXPECT_FALSE(body_ran);
+  EXPECT_TRUE(waiter->done());
+  EXPECT_TRUE(sleeper->done());
+  EXPECT_TRUE(late->done());
 }
 
 }  // namespace
