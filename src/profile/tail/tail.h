@@ -6,7 +6,9 @@
 // per-request profiles out to every registered observer):
 //
 //   * WindowedAggregator — streaming per-epoch blame vectors + histograms,
-//     O(1) memory per window (src/profile/tail/windowed.h).
+//     O(1) memory per window (src/profile/tail/windowed.h). Whole-run
+//     totals (request count, latency histogram, per-key blame) are not
+//     copied: they are read from the attached profiler.
 //   * ExemplarReservoir — bounded top-k outliers by end-to-end latency,
 //     globally and per workload phase, each frozen with its complete span
 //     tree, wait edges, counter/monitor snapshot and verdicts
@@ -18,12 +20,11 @@
 //
 // The observer contract holds throughout: this layer never touches the
 // Simulator, so a run with tail forensics attached is byte-identical in
-// virtual time (proven by tests/tail_test.cc fingerprints), and its
-// cumulative aggregates equal the profiler's EXACTLY (ConsistentWith).
+// virtual time (proven by tests/tail_test.cc fingerprints).
 //
 // Surfaces: FormatTailReport (the `perf_report --tail` text — median-vs-
 // p99.9 blame diff, per-signature counts, exemplar drill-down) and
-// TailReportJson, the schema-versioned ccnvme-tail-v1 document
+// TailReportJson, the schema-versioned ccnvme-tail-v2 document
 // ValidateTailReportJson / `metrics_report --check` validate.
 #ifndef SRC_PROFILE_TAIL_TAIL_H_
 #define SRC_PROFILE_TAIL_TAIL_H_
@@ -53,10 +54,11 @@ class TailForensics : public CriticalPathProfiler::RequestObserver {
  public:
   explicit TailForensics(TailOptions options = {});
 
-  // Convenience: profiler->AddRequestObserver(this).
+  // Registers this layer as |profiler|'s request observer. The profiler
+  // must outlive this object; its whole-run totals back requests(),
+  // TailThresholdNs(), TailDiff() and the reports.
   void Attach(CriticalPathProfiler* profiler);
-  // Optional snapshot sources frozen into captured exemplars.
-  void set_tracer(const Tracer* tracer) { tracer_ = tracer; }
+  // Optional snapshot source frozen into captured exemplars.
   void set_metrics(const Metrics* metrics) { metrics_ = metrics; }
 
   // Labels requests finishing from now on (exemplars bucket per phase).
@@ -72,7 +74,9 @@ class TailForensics : public CriticalPathProfiler::RequestObserver {
 
   const WindowedAggregator& windows() const { return windows_; }
   const ExemplarReservoir& reservoir() const { return reservoir_; }
-  uint64_t requests() const { return windows_.requests(); }
+  // The attached profiler (Attach must have been called).
+  const CriticalPathProfiler& profiler() const;
+  uint64_t requests() const { return profiler().finished_requests(); }
 
   // Requests matching each pathology (streaming, over ALL requests, not
   // just captured exemplars). Index = Pathology enum value.
@@ -81,8 +85,8 @@ class TailForensics : public CriticalPathProfiler::RequestObserver {
   }
   uint64_t total_signatures() const;
 
-  // Latency at options().tail_quantile over the streaming histogram — the
-  // "p99.9" boundary of the blame-diff table.
+  // Latency at options().tail_quantile over the profiler's latency
+  // histogram — the "p99.9" boundary of the blame-diff table.
   uint64_t TailThresholdNs() const;
 
   // Median-vs-tail blame decomposition. The tail column aggregates the
@@ -101,13 +105,6 @@ class TailForensics : public CriticalPathProfiler::RequestObserver {
   // Exemplars the tail column aggregates (latency >= threshold).
   std::vector<const Exemplar*> TailExemplars() const;
 
-  // Exact-consistency proof against the profiler this layer observed:
-  // request count, total latency and every per-key cumulative blame total
-  // must be INTEGER-equal. On mismatch returns false with a one-line
-  // diagnostic in |error|.
-  bool ConsistentWith(const CriticalPathProfiler& profiler,
-                      std::string* error) const;
-
   const TailOptions& options() const { return options_; }
 
  private:
@@ -117,24 +114,24 @@ class TailForensics : public CriticalPathProfiler::RequestObserver {
   std::array<uint64_t, kNumPathologies> signature_counts_{};
   uint64_t next_seq_ = 0;
   std::string phase_ = "main";
-  const Tracer* tracer_ = nullptr;
+  const CriticalPathProfiler* profiler_ = nullptr;
   const Metrics* metrics_ = nullptr;
 };
 
 // --- Reports ----------------------------------------------------------------
 
 // Schema identity of the machine-readable tail document below.
-inline constexpr const char* kTailReportSchema = "ccnvme-tail-v1";
-inline constexpr int kTailReportSchemaVersion = 1;
+inline constexpr const char* kTailReportSchema = "ccnvme-tail-v2";
+inline constexpr int kTailReportSchemaVersion = 2;
 
 // The `perf_report --tail` text: headline quantiles, window summary,
 // median-vs-p99.9 blame diff, per-signature counts and the exemplar
 // drill-down (top outliers with blame vector + verdicts + critical path).
-std::string FormatTailReport(const TailForensics& tail,
-                             const CriticalPathProfiler& profiler);
+std::string FormatTailReport(const TailForensics& tail);
 
 // One exemplar as a self-contained JSON object (everything the reservoir
-// froze: profile, blame, critical path, raw events, counters, verdicts).
+// froze: profile, blame, critical path, raw events, metric counters,
+// verdicts).
 std::string ExemplarJson(const Exemplar& exemplar, bool pretty = true);
 
 // Reconstructs an exemplar from a parsed ExemplarJson document (the
@@ -142,15 +139,13 @@ std::string ExemplarJson(const Exemplar& exemplar, bool pretty = true);
 // one-line diagnostic in |error|.
 bool ParseExemplarJson(const JsonValue& doc, Exemplar* out, std::string* error);
 
-// The full ccnvme-tail-v1 document: schema header, workload echo, latency
-// quantiles, profiler echo (the in-document exact-consistency proof),
-// window rows, blame diff, per-signature counts and embedded exemplars.
-std::string TailReportJson(const TailForensics& tail,
-                           const CriticalPathProfiler& profiler,
-                           const PerfReportInfo& info, bool pretty = true);
+// The full ccnvme-tail-v2 document: schema header, workload echo, latency
+// quantiles, window rows, blame diff, per-signature counts and embedded
+// exemplars.
+std::string TailReportJson(const TailForensics& tail, const PerfReportInfo& info,
+                           bool pretty = true);
 
-// Structural validation of a parsed ccnvme-tail-v1 document: schema match,
-// profiler echo equals the document's own totals (exact consistency),
+// Structural validation of a parsed ccnvme-tail-v2 document: schema match,
 // overall blame shares sum to ~1, signature section names every registered
 // pathology exactly once with its registry culprit, window rows bounded by
 // the request count, and every exemplar's blame vector sums EXACTLY to its

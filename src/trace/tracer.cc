@@ -4,7 +4,6 @@
 #include <cstdio>
 
 #include "src/common/logging.h"
-#include "src/metrics/metrics.h"
 
 namespace ccnvme {
 
@@ -57,7 +56,6 @@ void Tracer::Append(const TraceEvent& ev) {
     const TraceEvent& victim = ring_[total_recorded_ % ring_.size()];
     if (victim.req_id != 0 && RequestIsOpen(victim.req_id)) {
       ++dropped_open_req_;
-      if (Metrics* m = sim_->metrics()) m->OnRingDrop();
       if (!warned_dropped_open_) {
         warned_dropped_open_ = true;
         CCNVME_LOG(kWarning)
@@ -112,12 +110,6 @@ void Tracer::EndSpan(TracePoint point) {
   ++agg.count;
   agg.total_ns += ev.dur_ns;
   agg.dur_ns.Add(ev.dur_ns);
-
-  // Phase attribution: completed spans feed the metrics engine's per-phase
-  // histograms (same value, same instant — no extra time reads).
-  if (Metrics* m = sim_->metrics()) {
-    m->OnSpanEnd(point, ev.dur_ns);
-  }
 }
 
 void Tracer::Instant(TracePoint point, uint64_t arg0) {
@@ -137,9 +129,6 @@ void Tracer::InstantWith(TracePoint point, const TraceContext& ctx, uint64_t arg
   ev.device = ctx.device;
   Append(ev);
   ++agg_[static_cast<size_t>(point)].count;
-  if (Metrics* m = sim_->metrics()) {
-    m->OnInstant(point);
-  }
 }
 
 void Tracer::WaitEdgeEvent(WaitEdge edge, uint64_t begin_ns, uint64_t end_ns, uint64_t arg0) {
@@ -167,19 +156,11 @@ void Tracer::WaitEdgeWith(WaitEdge edge, const TraceContext& ctx, uint64_t begin
   agg.dur_ns.Add(ev.dur_ns);
 }
 
-void Tracer::AddCounter(TraceCounter c, uint64_t delta) {
-  counters_[static_cast<size_t>(c)] += delta;
-  if (Metrics* m = sim_->metrics()) {
-    m->OnTraceCounter(c, delta);
-  }
-}
-
 std::map<std::string, uint64_t> Tracer::CounterSnapshot() const {
   std::map<std::string, uint64_t> out;
   for (size_t i = 0; i < kNumTraceCounters; ++i) {
     out[TraceCounterName(static_cast<TraceCounter>(i))] = counters_[i];
   }
-  for (const auto& [name, value] : extra_counters_.counters()) out[name] = value;
   out["trace.ring_dropped_open_req"] = dropped_open_req_;
   return out;
 }
@@ -196,7 +177,6 @@ void Tracer::ResetAggregation() {
     a.dur_ns.Reset();
   }
   for (uint64_t& c : counters_) c = 0;
-  extra_counters_.Reset();
 }
 
 std::vector<std::pair<uint32_t, Tracer::OpenSpan>> Tracer::OpenSpans() const {

@@ -1,5 +1,9 @@
 // Virtual-time tracer: per-actor span stacks, a bounded ring of typed
-// events, per-point aggregation and interned hot-path counters.
+// events, per-point aggregation and fixed hot-path traffic counters.
+//
+// The aggregation tables and counters here are the only store of per-point
+// span durations, instant counts and traffic counts: Metrics::TakeSnapshot
+// reads them into its "phase.*", "event.*" and traffic-counter keys.
 //
 // Invariants (enforced by tests/trace_test.cc):
 //   * Zero allocation on the hot path. The ring and aggregation tables are
@@ -90,17 +94,20 @@ class Tracer {
 
   // --- Counters (hot path) ------------------------------------------------
 
-  void AddCounter(TraceCounter c, uint64_t delta = 1);
+  void AddCounter(TraceCounter c, uint64_t delta = 1) {
+    counters_[static_cast<size_t>(c)] += delta;
+  }
   uint64_t counter(TraceCounter c) const { return counters_[static_cast<size_t>(c)]; }
-  // Dynamically interned counters for callers outside the fixed enum.
-  CounterSet& extra_counters() { return extra_counters_; }
-  // Name-keyed snapshot of fixed + interned counters, for reports/diffs.
+  // Name-keyed snapshot of the traffic counters plus the ring-drop count,
+  // for reports/diffs.
   std::map<std::string, uint64_t> CounterSnapshot() const;
 
   // --- Aggregation --------------------------------------------------------
 
-  // Running per-point totals: EndSpan adds a duration sample, Instant bumps
-  // the count. Survives ring wraparound (it is not derived from the ring).
+  // Running per-point totals: EndSpan bumps the count and adds a duration
+  // sample, Instant bumps the count only (so instants = count -
+  // dur_ns.count()). Survives ring wraparound (it is not derived from the
+  // ring).
   struct PointAgg {
     uint64_t count = 0;
     uint64_t total_ns = 0;
@@ -131,11 +138,12 @@ class Tracer {
   }
   // Overwritten events that belonged to a request with a span still open at
   // overwrite time: the ring lost part of an in-flight request's record.
-  // A one-shot warning fires on the first such drop, and the count streams
-  // to metrics ("trace.ring_dropped_open_req") and trace_dump. Harmless to
-  // TraceSink consumers (the profiler, tail forensics) — they see every
-  // event in append order — but ring-based exports are incomplete. Not
-  // cleared by ResetAggregation (it describes the ring, like overwritten()).
+  // A one-shot warning fires on the first such drop, and the count is
+  // exported by metrics snapshots ("trace.ring_dropped_open_req") and
+  // trace_dump. Harmless to TraceSink consumers (the profiler, tail
+  // forensics) — they see every event in append order — but ring-based
+  // exports are incomplete. Not cleared by ResetAggregation (it describes
+  // the ring, like overwritten()).
   uint64_t dropped_open_req() const { return dropped_open_req_; }
   // i = 0 is the OLDEST retained event.
   const TraceEvent& event(size_t i) const;
@@ -188,7 +196,6 @@ class Tracer {
   std::vector<std::unique_ptr<Track>> tracks_;
 
   uint64_t counters_[kNumTraceCounters] = {};
-  CounterSet extra_counters_;
   std::vector<PointAgg> agg_;
   std::vector<PointAgg> edge_agg_;
   TraceSink* sink_ = nullptr;

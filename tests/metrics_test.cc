@@ -1,9 +1,10 @@
 // Metrics engine + invariant monitor tests: registry interning semantics,
 // histogram percentile accuracy, snapshot/delta correctness, unit-level
 // monitor violations, live monitors catching both injected bugs during
-// normal execution, metrics-on/off virtual-time determinism, exact
-// phase-attribution agreement with the tracer's legacy aggregation, and
-// exporter round trips (JSON parse-back + Prometheus text).
+// normal execution, metrics-on/off virtual-time determinism, the snapshot
+// contract over the tracer's per-point tables (fixed key set, instant vs
+// span counts, deltas across a tracer reset), and exporter round trips
+// (JSON parse-back + Prometheus text).
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -290,9 +291,13 @@ TEST(MonitorCleanRunTest, MqfsWorkloadAndRecoveryAreViolationFree) {
   ASSERT_TRUE(after.MountExisting().ok());
   after.Run([&] { EXPECT_TRUE(after.fs().CheckConsistency().ok()); });
   EXPECT_EQ(metrics.monitors().total_violations(), 0u);
-  // The recovery window scan actually ran under the monitor's eyes.
-  EXPECT_EQ(metrics.EventCount(TracePoint::kJournalRecover), 0u);
-  EXPECT_GT(metrics.PhaseHistogram(TracePoint::kJournalRecover).count(), 0u);
+  // The recovery window scan actually ran under the monitor's eyes: as a
+  // span, never as an instant.
+  const MetricsSnapshot snap = metrics.TakeSnapshot();
+  EXPECT_EQ(snap.Counter("event.journal.recover"), 0u);
+  const Histogram* recover = snap.Histo("phase.journal.recover");
+  ASSERT_NE(recover, nullptr);
+  EXPECT_GT(recover->count(), 0u);
 }
 
 TEST(MonitorCleanRunTest, ClassicJournalIsViolationFree) {
@@ -437,31 +442,60 @@ TEST(MetricsDeterminismTest, MetricsDoNotPerturbClassicJournal) {
             SyncFingerprint(JournalKind::kClassic, true));
 }
 
-// --- Phase attribution agrees exactly with the tracer's aggregation ---------
+// --- Snapshots read the tracer's per-point tables ----------------------------
 
-TEST(MetricsAttributionTest, PhaseHistogramsMatchTracerAggregation) {
+TEST(MetricsAttributionTest, SnapshotReadsTracerTablesWithFixedKeySet) {
   StorageStack stack(MqfsConfig());
   Metrics& metrics = stack.EnableMetrics();
   ASSERT_TRUE(stack.MkfsAndMount().ok());
-  stack.Run([&] { FsyncWorkload(stack, 12); });
+  stack.Run([&] { FsyncWorkload(stack, 4); });
+  const MetricsSnapshot traced = metrics.TakeSnapshot();
 
-  const Tracer* tracer = stack.tracer();
-  ASSERT_NE(tracer, nullptr);
-  for (size_t i = 0; i < kNumTracePoints; ++i) {
-    const TracePoint p = static_cast<TracePoint>(i);
-    const Histogram& mine = metrics.PhaseHistogram(p);
-    const Histogram& legacy = tracer->agg(p).dur_ns;
-    EXPECT_EQ(mine.count(), legacy.count()) << TracePointName(p);
-    EXPECT_EQ(mine.sum(), legacy.sum()) << TracePointName(p);
-    EXPECT_EQ(mine.Percentile(0.99), legacy.Percentile(0.99)) << TracePointName(p);
+  // A bare simulator has no tracer: same keys, every value zero.
+  Simulator bare_sim;
+  Metrics bare(&bare_sim);
+  const MetricsSnapshot untraced = bare.TakeSnapshot();
+  ASSERT_EQ(untraced.counters.size(), traced.counters.size());
+  for (const auto& [name, value] : untraced.counters) {
+    EXPECT_EQ(traced.counters.count(name), 1u) << name;
+    EXPECT_EQ(value, 0u) << name;
   }
-  for (size_t i = 0; i < kNumTraceCounters; ++i) {
-    const TraceCounter c = static_cast<TraceCounter>(i);
-    EXPECT_EQ(metrics.TrafficCount(c), tracer->counter(c)) << TraceCounterName(c);
+  ASSERT_EQ(untraced.histograms.size(), traced.histograms.size());
+  for (const auto& [name, histo] : untraced.histograms) {
+    EXPECT_EQ(traced.histograms.count(name), 1u) << name;
+    EXPECT_EQ(histo.count(), 0u) << name;
   }
-  // The fig14 phases actually carry data in this configuration.
-  EXPECT_GT(metrics.PhaseHistogram(TracePoint::kSyncTotal).count(), 0u);
-  EXPECT_GT(metrics.PhaseHistogram(TracePoint::kSyncAtomic).count(), 0u);
+
+  // Instants count as events, spans as phase samples, never both.
+  EXPECT_GT(traced.Counter("event.block.bio_submit"), 0u);
+  EXPECT_EQ(traced.Counter("event.fs.sync"), 0u);
+  ASSERT_NE(traced.Histo("phase.fs.sync"), nullptr);
+  EXPECT_GT(traced.Histo("phase.fs.sync")->count(), 0u);
+
+  // One reset clears the one store; deltas from a post-reset snapshot hold
+  // exactly the interval, and a delta spanning the reset clamps at zero.
+  stack.tracer()->ResetAggregation();
+  const MetricsSnapshot reset = metrics.TakeSnapshot();
+  EXPECT_EQ(reset.Histo("phase.fs.sync")->count(), 0u);
+  EXPECT_EQ(reset.Counter("event.block.bio_submit"), 0u);
+  stack.Run([&] {
+    for (int i = 0; i < 3; ++i) {
+      auto ino = stack.fs().Lookup("/m0");
+      ASSERT_TRUE(ino.ok());
+      ASSERT_TRUE(stack.fs().Write(*ino, 0, Buffer(kFsBlockSize, 0xCD)).ok());
+      ASSERT_TRUE(stack.fs().Fsync(*ino).ok());
+    }
+  });
+  const MetricsSnapshot after = metrics.TakeSnapshot();
+  const MetricsSnapshot interval = after.DeltaSince(reset);
+  EXPECT_EQ(interval.Histo("phase.fs.sync")->count(), 3u);
+  EXPECT_EQ(interval.Counter("event.block.bio_submit"),
+            stack.tracer()->agg(TracePoint::kBioSubmit).count);
+  EXPECT_GT(interval.Counter("event.block.bio_submit"), 0u);
+  ASSERT_LT(after.Counter("event.block.bio_submit"), traced.Counter("event.block.bio_submit"));
+  const MetricsSnapshot across = after.DeltaSince(traced);
+  EXPECT_EQ(across.Counter("event.block.bio_submit"), 0u);
+  EXPECT_EQ(across.Histo("phase.fs.sync")->count(), 0u);
 }
 
 // --- Exporters --------------------------------------------------------------

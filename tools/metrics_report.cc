@@ -16,10 +16,10 @@
 // perf_report --json document instead; it gets the structural what-if
 // validation (schema version, frontier covering every registered wait edge,
 // monotone virtual-speedup curves), and --check exits 1 on any violation.
-// "schema": "ccnvme-tail-v1" routes to the tail-forensics validation
-// (profiler echo exactly consistent, signature section covering every
-// registered pathology, every exemplar's blame vector summing exactly to
-// its end-to-end latency) the same way.
+// "schema": "ccnvme-tail-v2" routes to the tail-forensics validation
+// (overall blame shares summing to 1, signature section covering every
+// registered pathology, window bookkeeping, every exemplar's blame vector
+// summing exactly to its end-to-end latency) the same way.
 #include <cstdio>
 #include <cstring>
 #include <fstream>

@@ -30,7 +30,7 @@
 // request 40x slower? --tail attaches the tail-forensics layer
 // (src/profile/tail) and prints the median-vs-p99.9 blame diff, the
 // pathology signature counts and the captured outlier exemplars;
-// --tail-json writes the machine-readable ccnvme-tail-v1 document
+// --tail-json writes the machine-readable ccnvme-tail-v2 document
 // `metrics_report --check` validates; --pathology NAME deliberately
 // provokes a named pathology (the bench/core_pathologies knobs) so the
 // classifier's positive direction can be exercised from the CLI — the CI
@@ -206,7 +206,6 @@ int RunPerfReport(int argc, char** argv) {
   if (want_tail) {
     stack.EnableMetrics();
     tail.Attach(&profiler);
-    tail.set_tracer(stack.tracer());
     tail.set_metrics(stack.metrics());
     tail.BeginPhase("warmup");
   }
@@ -239,9 +238,7 @@ int RunPerfReport(int argc, char** argv) {
   std::printf("\n%s\n", FormatDominantLine(profiler).c_str());
 
   if (tail_report) {
-    std::printf("\n%s", FormatTailReport(tail, profiler).c_str());
-    std::string consistency;
-    CCNVME_CHECK(tail.ConsistentWith(profiler, &consistency)) << consistency;
+    std::printf("\n%s", FormatTailReport(tail).c_str());
   }
   if (!tail_json_path.empty()) {
     PerfReportInfo info;
@@ -251,7 +248,7 @@ int RunPerfReport(int argc, char** argv) {
     info.warmup = warmup;
     info.threads = threads;
     info.queues = queues;
-    const std::string doc = TailReportJson(tail, profiler, info, /*pretty=*/true);
+    const std::string doc = TailReportJson(tail, info, /*pretty=*/true);
     std::FILE* f = std::fopen(tail_json_path.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot write %s\n", tail_json_path.c_str());
