@@ -203,7 +203,6 @@ std::string ReplayArtifact::ToJson() const {
   out << "  \"journal_blocks\": " << config.fs.journal_blocks << ",\n";
   out << "  \"data_journaling\": " << b(config.fs.data_journaling) << ",\n";
   out << "  \"metadata_shadow_paging\": " << b(config.fs.metadata_shadow_paging) << ",\n";
-  out << "  \"selective_revocation\": " << b(config.fs.selective_revocation) << ",\n";
   out << "  \"test_skip_psq_window_scan\": " << b(config.fs.test_skip_psq_window_scan) << ",\n";
   out << "  \"test_skip_cross_core_order\": " << b(config.fs.test_skip_cross_core_order)
       << ",\n";
@@ -269,8 +268,6 @@ Result<ReplayArtifact> ReplayArtifact::FromJson(const std::string& json) {
   CCNVME_ASSIGN_OR_RETURN(art.config.fs.data_journaling, GetBool(json, "data_journaling"));
   CCNVME_ASSIGN_OR_RETURN(art.config.fs.metadata_shadow_paging,
                           GetBool(json, "metadata_shadow_paging"));
-  CCNVME_ASSIGN_OR_RETURN(art.config.fs.selective_revocation,
-                          GetBool(json, "selective_revocation"));
   CCNVME_ASSIGN_OR_RETURN(art.config.fs.test_skip_psq_window_scan,
                           GetBool(json, "test_skip_psq_window_scan"));
   // Optional (older artifacts predate cross-core fsync aggregation).

@@ -160,8 +160,6 @@ Status ExtFs::Mount() {
     case JournalKind::kMultiQueue: {
       MqJournalOptions mopts;
       mopts.shadow_paging = options_.metadata_shadow_paging;
-      mopts.selective_revocation = options_.selective_revocation;
-      mopts.test_skip_psq_window_scan = options_.test_skip_psq_window_scan;
       journal_ = std::make_unique<MqJournal>(sim_, blk_, &cache_, layout_, costs_, this, mopts);
       break;
     }
@@ -983,9 +981,6 @@ Status ExtFs::SyncInternal(InodeNum ino, SyncMode mode) {
 }
 
 Status ExtFs::Fsync(InodeNum ino) {
-  if (!options_.cross_core_fsync_aggregation) {
-    return SyncInternal(ino, SyncMode::kFsync);
-  }
   // Cross-core group commit, per inode: register an epoch, then either wait
   // for a leader whose commit covers it or become the leader and commit for
   // everyone registered so far. Correctness lean: a leader computes its

@@ -41,22 +41,20 @@ struct ExtFsOptions {
   uint32_t journal_areas = 1;       // kMultiQueue: one per hardware queue
   uint64_t journal_blocks = 16384;  // 64 MB total, split across areas
   bool data_journaling = false;
-  // MQFS knobs (§5.3, §5.4); ignored by the other journals.
+  // MQFS knob (§5.3); ignored by the other journals.
   bool metadata_shadow_paging = true;
-  bool selective_revocation = true;
-  // TEST ONLY: recovery ignores the driver's P-SQ window and trusts every
-  // scanned descriptor without validating its per-block content checksums.
-  // This is the paper's recovery contract broken on purpose — the crash
-  // explorer must catch it (replaying half-persisted transactions).
+  // TEST ONLY: recovery over ccNVMe (kMultiQueue, kCcNvmeJbd2) ignores the
+  // driver's P-SQ window and trusts every scanned descriptor without
+  // validating its per-block content checksums. This is the paper's
+  // recovery contract broken on purpose — the recovery.window_scan monitor
+  // and the crash explorer must catch it (replaying half-persisted
+  // transactions).
   bool test_skip_psq_window_scan = false;
-  // Cross-core fsync aggregation: concurrent fsyncs of one inode elect a
-  // leader whose single journal commit covers every caller registered at
-  // election time (group commit across cores). Free when uncontended.
-  bool cross_core_fsync_aggregation = true;
-  // TEST ONLY: breaks the aggregation contract on purpose — a follower that
-  // finds a leader in flight returns immediately, claiming durability the
-  // leader's commit may not include. The fs.fsync_cross_core_order monitor
-  // and the multi-core crash exploration must both catch it.
+  // TEST ONLY: breaks cross-core fsync aggregation (ExtFs::Fsync) on
+  // purpose — a follower that finds a leader in flight returns immediately,
+  // claiming durability the leader's commit may not include. The
+  // fs.fsync_cross_core_order monitor and the multi-core crash exploration
+  // must both catch it.
   bool test_skip_cross_core_order = false;
   // NVLog knobs (kNvlog only): drain batch size, the absorb window the
   // background drainer waits before checkpointing, and the size of the
@@ -132,6 +130,7 @@ class ExtFs {
   // Directory fsync by path (used by Varmail and the crash tests).
   Status FsyncPath(const std::string& path);
 
+  const ExtFsOptions& options() const { return options_; }
   Journal* journal() { return journal_.get(); }
   const FsLayout& layout() const { return layout_; }
   BufferCache* cache() { return &cache_; }

@@ -74,13 +74,10 @@ Jbd2Journal::Jbd2Journal(Simulator* sim, BlockLayer* blk, BufferCache* cache,
       costs_(costs),
       fs_(fs),
       options_(options),
-      area_start_(layout.area_start(0)),
-      area_blocks_(layout.blocks_per_area() * layout.journal_areas),
-      free_blocks_(area_blocks_ - 1),
+      area_(layout.area_start(0), layout.blocks_per_area() * layout.journal_areas),
       mu_(sim),
       commit_cv_(sim),
       ckpt_mu_(sim) {
-  // Classic journaling uses one compound journal: all areas fused.
   sim_->Spawn("kjournald", [this] { CommitLoop(); });
 }
 
@@ -224,12 +221,12 @@ Status Jbd2Journal::CommitOne(const std::shared_ptr<TxState>& tx) {
     // ccNVMe commit: descriptor first (it is the commit record; its
     // checksums validate the members at recovery), members after, one
     // transaction-aware flush + doorbell, in-order durable completion.
-    const BlockNo jd_lba = AreaLba(head_off_);
-    head_off_ = NextOff(head_off_);
+    const BlockNo jd_lba = area_.Lba(area_.head);
+    area_.head = area_.Next(area_.head);
     std::vector<BlockNo> member_lbas;
     for (size_t i = 0; i < tx->metadata.size(); ++i) {
-      member_lbas.push_back(AreaLba(head_off_));
-      head_off_ = NextOff(head_off_);
+      member_lbas.push_back(area_.Lba(area_.head));
+      area_.head = area_.Next(area_.head);
     }
     for (size_t i = 0; i < tx->metadata.size(); ++i) {
       Simulator::Sleep(costs_.jbd2_per_block_ns);
@@ -240,12 +237,12 @@ Status Jbd2Journal::CommitOne(const std::shared_ptr<TxState>& tx) {
     }
     auto handle = blk_->CommitTx(tx->tx_id, jd_lba, &desc_buf);
     blk_->WaitTxDurable(handle);
-    free_blocks_ -= tx->metadata.size() + 1;
+    area_.free -= tx->metadata.size() + 1;
 
     CheckpointTx cp;
     cp.tx_id = tx->tx_id;
     cp.blocks_used = tx->metadata.size() + 1;
-    cp.end_offset = head_off_;
+    cp.end_offset = area_.head;
     for (const BlockBufPtr& buf : tx->metadata) {
       cp.writes.emplace_back(buf->block_no, buf->data);
       buf->jstate = JournalState::kClean;
@@ -258,12 +255,12 @@ Status Jbd2Journal::CommitOne(const std::shared_ptr<TxState>& tx) {
   }
 
   std::vector<NvmeDriver::RequestHandle> handles;
-  handles.push_back(blk_->SubmitWrite(AreaLba(head_off_), &desc_buf, 0));
-  head_off_ = NextOff(head_off_);
+  handles.push_back(blk_->SubmitWrite(area_.Lba(area_.head), &desc_buf, 0));
+  area_.head = area_.Next(area_.head);
   for (const BlockBufPtr& buf : tx->metadata) {
     Simulator::Sleep(costs_.jbd2_per_block_ns);
-    handles.push_back(blk_->SubmitWrite(AreaLba(head_off_), &buf->data, 0));
-    head_off_ = NextOff(head_off_);
+    handles.push_back(blk_->SubmitWrite(area_.Lba(area_.head), &buf->data, 0));
+    area_.head = area_.Next(area_.head);
   }
 
   CommitBlock commit;
@@ -289,25 +286,25 @@ Status Jbd2Journal::CommitOne(const std::shared_ptr<TxState>& tx) {
       m->monitors().OnJournalCommitRecord(tx->tx_id, outstanding);
     }
     handles.clear();
-    CCNVME_RETURN_IF_ERROR(blk_->WriteSync(AreaLba(head_off_), commit_buf,
+    CCNVME_RETURN_IF_ERROR(blk_->WriteSync(area_.Lba(area_.head), commit_buf,
                                            kBioPreflush | kBioFua));
   } else {
     // Horae: dispatch everything eagerly; the ordering is guaranteed by the
     // dedicated control path, so only joint completion is awaited.
-    handles.push_back(blk_->SubmitWrite(AreaLba(head_off_), &commit_buf, kBioFua));
+    handles.push_back(blk_->SubmitWrite(area_.Lba(area_.head), &commit_buf, kBioFua));
     for (auto& h : handles) {
       CCNVME_RETURN_IF_ERROR(blk_->Wait(h));
     }
     handles.clear();
   }
-  head_off_ = NextOff(head_off_);
-  free_blocks_ -= needed;
+  area_.head = area_.Next(area_.head);
+  area_.free -= needed;
 
   // Hand frozen copies to the checkpoint list, then release the pages.
   CheckpointTx cp;
   cp.tx_id = tx->tx_id;
   cp.blocks_used = needed;
-  cp.end_offset = head_off_;
+  cp.end_offset = area_.head;
   for (const BlockBufPtr& buf : tx->metadata) {
     cp.writes.emplace_back(buf->block_no, buf->data);
     buf->jstate = JournalState::kClean;
@@ -322,11 +319,11 @@ Status Jbd2Journal::CommitOne(const std::shared_ptr<TxState>& tx) {
 Status Jbd2Journal::CheckpointUntilFree(uint64_t needed) {
   ScopedSpan span(sim_->tracer(), TracePoint::kJournalCheckpoint);
   SimLockGuard guard(ckpt_mu_);
-  if (free_blocks_ >= needed) {
+  if (area_.free >= needed) {
     return OkStatus();
   }
   bool advanced = false;
-  while (free_blocks_ < needed + area_blocks_ / 4 && !checkpoint_list_.empty()) {
+  while (area_.free < needed + area_.blocks / 4 && !checkpoint_list_.empty()) {
     CheckpointTx cp = std::move(checkpoint_list_.front());
     checkpoint_list_.pop_front();
     std::vector<NvmeDriver::RequestHandle> handles;
@@ -340,129 +337,24 @@ Status Jbd2Journal::CheckpointUntilFree(uint64_t needed) {
     for (auto& h : handles) {
       CCNVME_RETURN_IF_ERROR(blk_->Wait(h));
     }
-    free_blocks_ += cp.blocks_used;
-    asb_.start_offset = cp.end_offset;
-    asb_.cleared_txid = cp.tx_id;
+    area_.Retire(cp.tx_id, cp.blocks_used, cp.end_offset);
     advanced = true;
     checkpoints_++;
   }
   if (advanced) {
     // Checkpointed blocks must be durable before their log space is reused.
     CCNVME_RETURN_IF_ERROR(blk_->FlushSync());
-    CCNVME_RETURN_IF_ERROR(WriteAreaSuper());
+    CCNVME_RETURN_IF_ERROR(area_.WriteSuper(blk_));
   }
-  if (free_blocks_ < needed) {
+  if (area_.free < needed) {
     return OutOfSpace("journal too small for transaction");
   }
   return OkStatus();
 }
 
-Status Jbd2Journal::WriteAreaSuper() {
-  Buffer buf(kFsBlockSize, 0);
-  asb_.Serialize(buf);
-  return blk_->WriteSync(area_start_, buf, kBioFua);
-}
-
 Status Jbd2Journal::Recover() {
-  ScopedSpan span(sim_->tracer(), TracePoint::kJournalRecover);
-  Buffer raw;
-  CCNVME_RETURN_IF_ERROR(blk_->ReadSync(area_start_, 1, &raw));
-  CCNVME_ASSIGN_OR_RETURN(AreaSuperblock sb, AreaSuperblock::Parse(raw));
-
-  struct ReplayTx {
-    DescriptorBlock desc;
-    std::vector<BlockNo> journal_lbas;
-  };
-  std::vector<ReplayTx> txs;
-  uint64_t pos = sb.start_offset;
-  uint64_t prev_txid = sb.cleared_txid;
-
-  // Over ccNVMe the driver's recovered P-SQ window separates completed
-  // transactions (trusted as-is, §4.4) from in-doubt ones that must pass
-  // the descriptor's per-block content checksums.
-  const bool have_window = options_.over_ccnvme && blk_->has_ccnvme();
-  std::set<uint64_t> in_doubt;
-  if (have_window) {
-    for (const auto& req : blk_->RecoveredWindow()) {
-      in_doubt.insert(req.tx_id);
-    }
-  }
-
-  for (;;) {
-    Buffer block;
-    CCNVME_RETURN_IF_ERROR(blk_->ReadSync(AreaLba(pos), 1, &block));
-    auto desc = DescriptorBlock::Parse(block);
-    if (!desc.ok() || desc->tx_id <= prev_txid) {
-      break;  // end of valid log
-    }
-    ReplayTx rt;
-    rt.desc = std::move(*desc);
-    const bool must_validate = !have_window || in_doubt.count(rt.desc.tx_id) != 0;
-    uint64_t p = NextOff(pos);
-    bool valid = true;
-    for (const JournalEntry& entry : rt.desc.entries) {
-      if (must_validate) {
-        Buffer content;
-        CCNVME_RETURN_IF_ERROR(blk_->ReadSync(AreaLba(p), 1, &content));
-        if (Fnv1a(content) != entry.content_checksum) {
-          valid = false;
-          break;
-        }
-      }
-      rt.journal_lbas.push_back(AreaLba(p));
-      p = NextOff(p);
-    }
-    if (!valid) {
-      break;
-    }
-    if (options_.over_ccnvme) {
-      // The descriptor's per-block checksums (validated above) seal the
-      // transaction; there is no commit record.
-      prev_txid = rt.desc.tx_id;
-      pos = p;
-      txs.push_back(std::move(rt));
-    } else {
-      // The commit record seals the transaction.
-      Buffer commit_raw;
-      CCNVME_RETURN_IF_ERROR(blk_->ReadSync(AreaLba(p), 1, &commit_raw));
-      auto commit = CommitBlock::Parse(commit_raw);
-      if (!commit.ok() || commit->tx_id != rt.desc.tx_id) {
-        break;
-      }
-      prev_txid = rt.desc.tx_id;
-      pos = NextOff(p);
-      txs.push_back(std::move(rt));
-    }
-  }
-
-  // Revocations: a block revoked at tx R must not be replayed from tx < R.
-  std::map<BlockNo, uint64_t> revmap;
-  for (const ReplayTx& rt : txs) {
-    for (BlockNo lba : rt.desc.revoked) {
-      revmap[lba] = std::max(revmap[lba], rt.desc.tx_id);
-    }
-  }
-
-  for (const ReplayTx& rt : txs) {
-    for (size_t i = 0; i < rt.desc.entries.size(); ++i) {
-      const BlockNo home = rt.desc.entries[i].home_lba;
-      auto it = revmap.find(home);
-      if (it != revmap.end() && it->second >= rt.desc.tx_id) {
-        continue;
-      }
-      Buffer content;
-      CCNVME_RETURN_IF_ERROR(blk_->ReadSync(rt.journal_lbas[i], 1, &content));
-      CCNVME_RETURN_IF_ERROR(blk_->WriteSync(home, content));
-    }
-  }
-  CCNVME_RETURN_IF_ERROR(blk_->FlushSync());
-
-  // Reset the log.
-  asb_.start_offset = pos;
-  asb_.cleared_txid = prev_txid;
-  head_off_ = pos;
-  free_blocks_ = area_blocks_ - 1;
-  return WriteAreaSuper();
+  return RecoverJournalAreas(sim_, blk_, {&area_}, options_.over_ccnvme,
+                             fs_->options().test_skip_psq_window_scan);
 }
 
 Status Jbd2Journal::Shutdown() {
@@ -492,13 +384,11 @@ Status Jbd2Journal::Shutdown() {
         }
         CCNVME_RETURN_IF_ERROR(blk_->WriteSync(home, content));
       }
-      free_blocks_ += cp.blocks_used;
-      asb_.start_offset = cp.end_offset;
-      asb_.cleared_txid = cp.tx_id;
+      area_.Retire(cp.tx_id, cp.blocks_used, cp.end_offset);
     }
   }
   CCNVME_RETURN_IF_ERROR(blk_->FlushSync());
-  return WriteAreaSuper();
+  return area_.WriteSuper(blk_);
 }
 
 }  // namespace ccnvme

@@ -10,7 +10,8 @@
 //   * checkpointing: frozen copies of journaled blocks are later written in
 //     place and the log tail advances,
 //   * revocation records for the block-reuse problem,
-//   * mount-time recovery: scan, validate, replay.
+//   * mount-time recovery: scan, validate, replay (RecoverJournalAreas,
+//     shared with MQFS, over the one JournalArea this journal writes).
 //
 // The `horae` option models HoraeFS (OSDI'20): the ordering points are
 // removed — journaled blocks, descriptor and commit record are dispatched
@@ -31,6 +32,7 @@
 #include "src/block/block_layer.h"
 #include "src/driver/host_costs.h"
 #include "src/extfs/layout.h"
+#include "src/jbd2/journal_area.h"
 #include "src/jbd2/journal_format.h"
 #include "src/vfs/journal.h"
 
@@ -99,9 +101,6 @@ class Jbd2Journal : public Journal {
   // Frees journal space by writing back the oldest checkpointable
   // transactions until |needed| blocks are available.
   Status CheckpointUntilFree(uint64_t needed);
-  Status WriteAreaSuper();
-  uint64_t NextOff(uint64_t off) const { return off + 1 >= area_blocks_ ? 1 : off + 1; }
-  BlockNo AreaLba(uint64_t off) const { return area_start_ + off; }
 
   Simulator* sim_;
   BlockLayer* blk_;
@@ -110,11 +109,8 @@ class Jbd2Journal : public Journal {
   ExtFs* fs_;
   Jbd2Options options_;
 
-  BlockNo area_start_;
-  uint64_t area_blocks_;
-  uint64_t head_off_ = 1;
-  uint64_t free_blocks_;
-  AreaSuperblock asb_;
+  // Classic journaling uses one compound journal: all areas fused.
+  JournalArea area_;
 
   SimMutex mu_;
   SimCondVar commit_cv_;

@@ -3,12 +3,13 @@
 //
 // A transaction in the log is:
 //   [descriptor block][journaled block]*[commit block]      (classic)
-//   [journaled block]*[descriptor block]                    (MQFS)
-// In MQFS the descriptor doubles as the commit record: it carries a
+//   [descriptor block][journaled block]*                    (MQFS, JBD2 over ccNVMe)
+// Over ccNVMe the descriptor doubles as the commit record: it carries a
 // content checksum per journaled block, so recovery can validate a
 // transaction without a separate commit block — ringing the ccNVMe P-SQDB
 // "plays the same role as the commit block" (§5.1), and the checksums
-// detect transactions whose blocks never fully reached media.
+// detect transactions whose blocks never fully reached media. The ring the
+// records live in, and the recovery that scans it, are in journal_area.h.
 //
 // Every record block starts with (magic, type, tx_id) and ends with a
 // checksum of the whole block, so a recovery scan can stop at the first
@@ -38,9 +39,8 @@ struct JournalEntry {
   uint64_t content_checksum = 0;  // FNV-1a of the journaled block
 };
 
-// Descriptor: maps the following journaled blocks (classic) or the
-// preceding ones (MQFS) to their home locations. Also carries the
-// transaction's revocation list (§5.4).
+// Descriptor: maps the journaled blocks that follow it to their home
+// locations. Also carries the transaction's revocation list (§5.4).
 struct DescriptorBlock {
   uint64_t tx_id = 0;
   std::vector<JournalEntry> entries;

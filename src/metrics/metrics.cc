@@ -106,10 +106,28 @@ Metrics::Metrics(Simulator* sim)
 
 Metrics::~Metrics() = default;
 
+std::map<std::string, uint64_t> Metrics::SnapshotCounters() const {
+  std::map<std::string, uint64_t> counters = registry_.CounterView();
+  const Tracer* tracer = sim_->tracer();
+  const Tracer::PointAgg none;
+  for (size_t i = 0; i < kNumTracePoints; ++i) {
+    const TracePoint p = static_cast<TracePoint>(i);
+    const Tracer::PointAgg& agg = tracer != nullptr ? tracer->agg(p) : none;
+    counters.emplace(std::string("event.") + TracePointName(p), agg.count - agg.dur_ns.count());
+  }
+  for (size_t i = 0; i < kNumTraceCounters; ++i) {
+    const TraceCounter c = static_cast<TraceCounter>(i);
+    counters.emplace(TraceCounterName(c), tracer != nullptr ? tracer->counter(c) : 0);
+  }
+  counters.emplace("trace.ring_dropped_open_req",
+                   tracer != nullptr ? tracer->dropped_open_req() : 0);
+  return counters;
+}
+
 MetricsSnapshot Metrics::TakeSnapshot() const {
   MetricsSnapshot snap;
   snap.taken_at_ns = sim_->now();
-  snap.counters = registry_.CounterView();
+  snap.counters = SnapshotCounters();
   snap.gauges = registry_.GaugeView();
   snap.histograms = registry_.HistoView();
   const Tracer* tracer = sim_->tracer();
@@ -118,15 +136,7 @@ MetricsSnapshot Metrics::TakeSnapshot() const {
     const TracePoint p = static_cast<TracePoint>(i);
     const Tracer::PointAgg& agg = tracer != nullptr ? tracer->agg(p) : none;
     snap.histograms.emplace(std::string("phase.") + TracePointName(p), agg.dur_ns);
-    snap.counters.emplace(std::string("event.") + TracePointName(p),
-                          agg.count - agg.dur_ns.count());
   }
-  for (size_t i = 0; i < kNumTraceCounters; ++i) {
-    const TraceCounter c = static_cast<TraceCounter>(i);
-    snap.counters.emplace(TraceCounterName(c), tracer != nullptr ? tracer->counter(c) : 0);
-  }
-  snap.counters.emplace("trace.ring_dropped_open_req",
-                        tracer != nullptr ? tracer->dropped_open_req() : 0);
   for (size_t i = 0; i < kNumMonitors; ++i) {
     const MonitorId id = static_cast<MonitorId>(i);
     MonitorStat stat;

@@ -118,6 +118,9 @@ class Metrics {
   const InvariantMonitors& monitors() const { return *monitors_; }
 
   MetricsSnapshot TakeSnapshot() const;
+  // The snapshot's |counters| alone: registry counters, "event.<point>",
+  // the tracer's traffic counters and trace.ring_dropped_open_req.
+  std::map<std::string, uint64_t> SnapshotCounters() const;
 
   // Clears the registry's values for steady-state measurement. The
   // per-point tables belong to the tracer; clear them with

@@ -21,11 +21,7 @@ MqJournal::MqJournal(Simulator* sim, BlockLayer* blk, BufferCache* cache,
       ckpt_mu_(sim) {
   CCNVME_CHECK(blk->has_ccnvme()) << "MQFS requires the ccNVMe extension";
   for (uint32_t a = 0; a < layout.journal_areas; ++a) {
-    auto area = std::make_unique<Area>(sim);
-    area->start = layout.area_start(a);
-    area->blocks = layout.blocks_per_area();
-    area->free = area->blocks - 1;
-    areas_.push_back(std::move(area));
+    areas_.push_back(std::make_unique<Area>(sim, layout.area_start(a), layout.blocks_per_area()));
     trees_.push_back(std::make_unique<RadixTree<JhChain>>());
     tree_mu_.push_back(std::make_unique<SimMutex>(sim));
     pending_revocations_.emplace_back();
@@ -117,7 +113,7 @@ Status MqJournal::Sync(const SyncOp& op, SyncMode mode) {
     // Reserve the descriptor slot plus one slot per metadata block.
     uint64_t h = off;
     for (size_t i = 0; i < op.metadata.size() + 1; ++i) {
-      h = NextOff(area, h);
+      h = area.Next(h);
     }
     area.head = h;
     area.free -= needed;
@@ -137,14 +133,14 @@ Status MqJournal::Sync(const SyncOp& op, SyncMode mode) {
               });
   }
 
-  uint64_t off = NextOff(area, jd_off);
+  uint64_t off = area.Next(jd_off);
   bool first_meta = true;
   for (const BlockBufPtr& buf : metadata) {
     // First metadata block is the inode-table block (S-iM), the rest are
     // parent/bitmap metadata (S-pM).
     ScopedSpan meta_span(tracer, first_meta ? TracePoint::kSyncSubmitInode
                                             : TracePoint::kSyncSubmitParent);
-    const BlockNo journal_lba = area.start + off;
+    const BlockNo journal_lba = area.Lba(off);
     const Buffer* payload = nullptr;
     if (options_.shadow_paging) {
       const uint64_t frozen_begin = sim_->now();
@@ -192,7 +188,7 @@ Status MqJournal::Sync(const SyncOp& op, SyncMode mode) {
       BlockBufPtr keep = buf;
       blk_->SubmitTxWrite(tx_id, journal_lba, payload, [keep] { keep->EndWriteback(); });
     }
-    off = NextOff(area, off);
+    off = area.Next(off);
     first_meta = false;
   }
   rec->end_offset = area.head;
@@ -209,7 +205,7 @@ Status MqJournal::Sync(const SyncOp& op, SyncMode mode) {
     m->monitors().ExpectTxMembers(tx_id, data_in_tx + metadata.size());
   }
   auto self = this;
-  auto handle = blk_->CommitTx(tx_id, area.start + jd_off, rec->jd.get(),
+  auto handle = blk_->CommitTx(tx_id, area.Lba(jd_off), rec->jd.get(),
                                [self, rec] { self->FinishTx(rec); });
   transactions_++;
   if (tracer != nullptr) {
@@ -260,7 +256,9 @@ void MqJournal::FinishTx(const std::shared_ptr<TxRecord>& rec) {
 void MqJournal::RevokeBlock(BlockNo block) {
   const uint32_t area_idx =
       blk_->current_queue() % static_cast<uint32_t>(areas_.size());
-  if (options_.selective_revocation) {
+  {
+    // Selective revocation (§5.4) reads the block's JH chain under its tree
+    // lock; the lock is released before the area lock is taken below.
     const size_t t = TreeIndex(block);
     SimLockGuard guard(*tree_mu_[t]);
     JhChain* chain = trees_[t]->Find(block);
@@ -416,128 +414,21 @@ Status MqJournal::Checkpoint(uint32_t needy, uint64_t needed) {
   // Advance each touched area's on-disk superblock.
   for (auto& [area, txs] : popped) {
     for (const LoggedTx& tx : txs) {
-      area->free += tx.blocks_used;
-      area->asb.start_offset = tx.end_offset;
-      area->asb.cleared_txid = std::max(area->asb.cleared_txid, tx.tx_id);
+      area->Retire(tx.tx_id, tx.blocks_used, tx.end_offset);
     }
-    CCNVME_RETURN_IF_ERROR(WriteAreaSuper(*area));
+    CCNVME_RETURN_IF_ERROR(area->WriteSuper(blk_));
   }
   checkpoints_++;
   return OkStatus();
 }
 
-Status MqJournal::WriteAreaSuper(Area& area) {
-  Buffer buf(kFsBlockSize, 0);
-  area.asb.Serialize(buf);
-  return blk_->WriteSync(area.start, buf, kBioFua);
-}
-
 Status MqJournal::Recover() {
-  ScopedSpan span(sim_->tracer(), TracePoint::kJournalRecover);
-  struct ReplayTx {
-    DescriptorBlock desc;
-    std::vector<BlockNo> journal_lbas;  // parallel to desc.entries
-  };
-  std::vector<ReplayTx> txs;
-
-  // §4.4: the driver captured each queue's P-SQ window [P-SQ-head, P-SQDB)
-  // at bring-up. Transactions NOT in the window completed before the crash
-  // — the device guarantees their blocks reached media, so recovery trusts
-  // them without re-hashing content. Only in-window ("in-doubt")
-  // transactions are validated against the descriptor's per-block content
-  // checksums. Without a ccNVMe driver there is no window: validate all.
-  bool have_window = false;
-  std::set<uint64_t> in_doubt;
-  if (blk_->has_ccnvme()) {
-    have_window = true;
-    if (!options_.test_skip_psq_window_scan) {
-      for (const auto& req : blk_->RecoveredWindow()) {
-        in_doubt.insert(req.tx_id);
-      }
-    }
-    if (Metrics* m = sim_->metrics()) {
-      // Recovery must treat every transaction in the recovered P-SQ window
-      // as in-doubt; ignoring any of them trusts unvalidated blocks.
-      std::set<uint64_t> window_txs;
-      for (const auto& req : blk_->RecoveredWindow()) {
-        window_txs.insert(req.tx_id);
-      }
-      m->monitors().OnRecoveryWindowScan(window_txs.size(), in_doubt.size());
-    }
-  }
-
+  std::vector<JournalArea*> areas;
   for (auto& area_ptr : areas_) {
-    Area& area = *area_ptr;
-    Buffer raw;
-    CCNVME_RETURN_IF_ERROR(blk_->ReadSync(area.start, 1, &raw));
-    CCNVME_ASSIGN_OR_RETURN(area.asb, AreaSuperblock::Parse(raw));
-    uint64_t pos = area.asb.start_offset;
-    uint64_t prev = area.asb.cleared_txid;
-    for (;;) {
-      Buffer block;
-      CCNVME_RETURN_IF_ERROR(blk_->ReadSync(area.start + pos, 1, &block));
-      auto desc = DescriptorBlock::Parse(block);
-      if (!desc.ok() || desc->tx_id <= prev) {
-        break;
-      }
-      ReplayTx rt;
-      rt.desc = std::move(*desc);
-      const bool must_validate = !have_window || in_doubt.count(rt.desc.tx_id) != 0;
-      uint64_t p = NextOff(area, pos);
-      bool valid = true;
-      for (const JournalEntry& e : rt.desc.entries) {
-        if (must_validate) {
-          Buffer content;
-          CCNVME_RETURN_IF_ERROR(blk_->ReadSync(area.start + p, 1, &content));
-          if (Fnv1a(content) != e.content_checksum) {
-            valid = false;  // transaction never fully reached media: discard
-            break;
-          }
-        }
-        rt.journal_lbas.push_back(area.start + p);
-        p = NextOff(area, p);
-      }
-      if (!valid) {
-        break;
-      }
-      prev = rt.desc.tx_id;
-      pos = p;
-      txs.push_back(std::move(rt));
-    }
-    area.asb.start_offset = pos;
-    area.asb.cleared_txid = prev;
-    area.head = pos;
-    area.free = area.blocks - 1;
+    areas.push_back(area_ptr.get());
   }
-
-  // Global order across queues comes from the transaction IDs (§4.4):
-  // link all areas' transactions and replay sequentially (§5.5).
-  std::sort(txs.begin(), txs.end(),
-            [](const ReplayTx& a, const ReplayTx& b) { return a.desc.tx_id < b.desc.tx_id; });
-
-  std::map<BlockNo, uint64_t> revmap;
-  for (const ReplayTx& rt : txs) {
-    for (BlockNo lba : rt.desc.revoked) {
-      revmap[lba] = std::max(revmap[lba], rt.desc.tx_id);
-    }
-  }
-  for (const ReplayTx& rt : txs) {
-    for (size_t i = 0; i < rt.desc.entries.size(); ++i) {
-      const BlockNo home = rt.desc.entries[i].home_lba;
-      auto it = revmap.find(home);
-      if (it != revmap.end() && it->second >= rt.desc.tx_id) {
-        continue;
-      }
-      Buffer content;
-      CCNVME_RETURN_IF_ERROR(blk_->ReadSync(rt.journal_lbas[i], 1, &content));
-      CCNVME_RETURN_IF_ERROR(blk_->WriteSync(home, content));
-    }
-  }
-  CCNVME_RETURN_IF_ERROR(blk_->FlushSync());
-  for (auto& area_ptr : areas_) {
-    CCNVME_RETURN_IF_ERROR(WriteAreaSuper(*area_ptr));
-  }
-  return OkStatus();
+  return RecoverJournalAreas(sim_, blk_, areas, /*over_ccnvme=*/true,
+                             fs_->options().test_skip_psq_window_scan);
 }
 
 Status MqJournal::Shutdown() {
@@ -577,12 +468,10 @@ Status MqJournal::Shutdown() {
   for (auto& area_ptr : areas_) {
     Area& area = *area_ptr;
     for (const LoggedTx& tx : area.ckpt) {
-      area.free += tx.blocks_used;
-      area.asb.start_offset = tx.end_offset;
-      area.asb.cleared_txid = std::max(area.asb.cleared_txid, tx.tx_id);
+      area.Retire(tx.tx_id, tx.blocks_used, tx.end_offset);
     }
     area.ckpt.clear();
-    CCNVME_RETURN_IF_ERROR(WriteAreaSuper(area));
+    CCNVME_RETURN_IF_ERROR(area.WriteSuper(blk_));
   }
   for (auto& tree : trees_) {
     // All versions checkpointed.

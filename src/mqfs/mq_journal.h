@@ -33,6 +33,7 @@
 #include "src/block/block_layer.h"
 #include "src/driver/host_costs.h"
 #include "src/extfs/layout.h"
+#include "src/jbd2/journal_area.h"
 #include "src/jbd2/journal_format.h"
 #include "src/mqfs/radix_tree.h"
 #include "src/vfs/journal.h"
@@ -42,10 +43,7 @@ namespace ccnvme {
 class ExtFs;
 
 struct MqJournalOptions {
-  bool shadow_paging = true;         // §5.3
-  bool selective_revocation = true;  // §5.4 (false = naive JR, incorrect)
-  // TEST ONLY: skip the P-SQ window scan during recovery (see ExtFsOptions).
-  bool test_skip_psq_window_scan = false;
+  bool shadow_paging = true;  // §5.3
 };
 
 enum class JhState : uint8_t { kLog, kChp, kLogged };
@@ -91,13 +89,9 @@ class MqJournal : public Journal {
     uint64_t end_offset = 0;
     std::vector<LoggedWrite> writes;
   };
-  struct Area {
-    explicit Area(Simulator* sim) : mu(sim), build_mu(sim), quiesced(sim) {}
-    BlockNo start = 0;
-    uint64_t blocks = 0;
-    uint64_t head = 1;
-    uint64_t free = 0;
-    AreaSuperblock asb;
+  struct Area : JournalArea {
+    Area(Simulator* sim, BlockNo area_start, uint64_t area_blocks)
+        : JournalArea(area_start, area_blocks), mu(sim), build_mu(sim), quiesced(sim) {}
     SimMutex mu;
     // Serializes transaction construction on this queue: two threads bound
     // to the same core never interleave mid-transaction on real hardware
@@ -129,10 +123,6 @@ class MqJournal : public Journal {
   // Horizon-ordered global checkpoint (§5.2): frees space in |needy| by
   // writing back every area's versions up to a tx-id horizon.
   Status Checkpoint(uint32_t needy, uint64_t needed);
-  Status WriteAreaSuper(Area& area);
-  uint64_t NextOff(const Area& area, uint64_t off) const {
-    return off + 1 >= area.blocks ? 1 : off + 1;
-  }
 
   Simulator* sim_;
   BlockLayer* blk_;

@@ -72,9 +72,8 @@ void TailForensics::OnRequestProfile(
     ex.profile = profile;
     ex.events = events;
     if (metrics_ != nullptr) {
-      const MetricsSnapshot snap = metrics_->TakeSnapshot();
-      ex.metric_counters = snap.counters;
-      ex.monitor_violations = snap.TotalViolations();
+      ex.metric_counters = metrics_->SnapshotCounters();
+      ex.monitor_violations = metrics_->monitors().total_violations();
     }
     ex.verdicts = std::move(verdicts);
     reservoir_.Add(std::move(ex));

@@ -6,6 +6,8 @@
 //     baselines of §7.
 //   * NullJournal (src/jbd2)  — Ext4-NJ: no journaling, in-place writes.
 //   * MqJournal   (src/mqfs)  — MQFS multi-queue journaling over ccNVMe.
+//   * NvLogJournal (src/nvm)  — NVLog: fsync appends to a byte-addressable
+//     NVM log; a background drainer checkpoints to the block stack.
 //
 // The file system collects the blocks a sync point must persist into a
 // SyncOp; the journal implementation owns ordering, atomicity and

@@ -376,9 +376,21 @@ CrashImage CaptureImageWithOpenWindow(const StackConfig& cfg) {
 // INJECTED BUG 2: recovery that skips the P-SQ window scan trusts every
 // journal descriptor without re-validating checksums. The live monitor
 // compares the in-doubt set against the recovered window and fires during
-// the very mount that runs the broken recovery.
-TEST(MonitorInjectedBugTest, SkippedWindowScanCaughtLive) {
-  const StackConfig cfg = MqfsConfig();
+// the very mount that runs the broken recovery. Both journals that commit
+// through ccNVMe share that recovery, so both must trip it.
+class SkippedWindowScanTest : public ::testing::TestWithParam<JournalKind> {};
+
+INSTANTIATE_TEST_SUITE_P(CcNvmeJournals, SkippedWindowScanTest,
+                         ::testing::Values(JournalKind::kMultiQueue, JournalKind::kCcNvmeJbd2),
+                         [](const ::testing::TestParamInfo<JournalKind>& param_info) {
+                           return param_info.param == JournalKind::kMultiQueue
+                                      ? "MQFS"
+                                      : "Jbd2OverCcNvme";
+                         });
+
+TEST_P(SkippedWindowScanTest, CaughtLive) {
+  StackConfig cfg = MqfsConfig();
+  cfg.fs.journal = GetParam();
   const CrashImage image = CaptureImageWithOpenWindow(cfg);
   ASSERT_FALSE(image.devices.empty()) << "never saw an open P-SQ window";
 

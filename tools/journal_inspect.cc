@@ -26,6 +26,7 @@
 #include "src/ccnvme/ccnvme_driver.h"
 #include "src/extfs/layout.h"
 #include "src/harness/image_file.h"
+#include "src/jbd2/journal_area.h"
 #include "src/jbd2/journal_format.h"
 #include "src/metrics/export.h"
 #include "src/metrics/metrics.h"
@@ -91,7 +92,7 @@ void DumpArea(const CrashImage& image, const Geometry& geo, const FsLayout& layo
   uint64_t pos = asb->start_offset;
   uint64_t prev = asb->cleared_txid;
   bool first_record = true;
-  auto next = [&](uint64_t p) { return p + 1 >= blocks ? 1 : p + 1; };
+  const JournalArea ring(start, blocks);
   for (;;) {
     const Buffer raw = ReadBlock(image, geo, start + pos);
     auto type = PeekRecordType(raw);
@@ -115,7 +116,7 @@ void DumpArea(const CrashImage& image, const Geometry& geo, const FsLayout& layo
         std::printf("  [%5llu] commit tx=%llu\n", static_cast<unsigned long long>(pos),
                     static_cast<unsigned long long>(commit->tx_id));
       }
-      pos = next(pos);
+      pos = ring.Next(pos);
       continue;
     }
     if (*type != JournalRecordType::kDescriptor) {
@@ -143,7 +144,7 @@ void DumpArea(const CrashImage& image, const Geometry& geo, const FsLayout& layo
                   static_cast<unsigned long long>(desc->tx_id), desc->entries.size(),
                   desc->revoked.size());
     }
-    uint64_t p = next(pos);
+    uint64_t p = ring.Next(pos);
     bool valid = true;
     size_t bad_entries = 0;
     std::ostringstream entries;
@@ -166,7 +167,7 @@ void DumpArea(const CrashImage& image, const Geometry& geo, const FsLayout& layo
                     ok ? "valid" : "CHECKSUM BAD");
       }
       valid = valid && ok;
-      p = next(p);
+      p = ring.Next(p);
     }
     if (json != nullptr) {
       *json << (first_record ? "" : ",") << "\n      {\"pos\": " << pos
