@@ -186,7 +186,6 @@ void RunWhatIfFrontier(BenchContext& ctx) {
   CCNVME_CHECK_EQ(frontier.size(), kNumWaitEdges)
       << "frontier must rank every registered wait edge";
   ctx.Log("%s\n", FormatFrontierTable(engine).c_str());
-  ctx.Log("%s\n", FormatTailAttribution(engine).c_str());
 
   for (const WhatIfEngine::FrontierRow& row : frontier) {
     // Negative control, in-bench: an edge that never appeared on any
@@ -363,7 +362,7 @@ void RunWhatIfFtlGcReserve(BenchContext& ctx) {
 }
 
 CCNVME_REGISTER_BENCH("whatif_frontier",
-                      "optimization frontier + tail attribution of the fsync workload",
+                      "optimization frontier of the fsync workload",
                       RunWhatIfFrontier);
 CCNVME_REGISTER_BENCH("whatif_doorbell_window",
                       "what-if prediction vs real doorbell_coalesce_limit sweep",

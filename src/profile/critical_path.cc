@@ -7,6 +7,11 @@
 namespace ccnvme {
 namespace {
 
+// Bounded buffers for not-yet-finalized requests / transactions; the oldest
+// entries are evicted deterministically when exceeded.
+constexpr size_t kMaxPendingRequests = 1 << 16;
+constexpr size_t kMaxPendingTxs = 4096;
+
 struct Interval {
   uint64_t begin = 0;
   uint64_t end = 0;
@@ -103,10 +108,7 @@ BlameKey CriticalPathProfiler::RequestProfile::DominantKey() const {
 }
 
 CriticalPathProfiler::CriticalPathProfiler(ProfilerOptions options)
-    : options_(options) {
-  CCNVME_CHECK_GT(options_.max_pending_requests, 0u);
-  CCNVME_CHECK_GT(options_.max_pending_txs, 0u);
-}
+    : options_(options) {}
 
 void CriticalPathProfiler::Attach(Tracer* tracer) {
   CCNVME_CHECK(tracer != nullptr);
@@ -141,12 +143,12 @@ void CriticalPathProfiler::OnTraceEvent(const TraceEvent& ev) {
 }
 
 void CriticalPathProfiler::EvictIfNeeded() {
-  while (pending_.size() > options_.max_pending_requests && !pending_order_.empty()) {
+  while (pending_.size() > kMaxPendingRequests && !pending_order_.empty()) {
     const uint64_t req = pending_order_.front();
     pending_order_.pop_front();
     pending_.erase(req);
   }
-  while (tx_events_.size() > options_.max_pending_txs && !tx_order_.empty()) {
+  while (tx_events_.size() > kMaxPendingTxs && !tx_order_.empty()) {
     const uint64_t tx = tx_order_.front();
     tx_order_.pop_front();
     tx_events_.erase(tx);
@@ -253,15 +255,8 @@ void CriticalPathProfiler::Finalize(uint64_t req_id, const TraceEvent& root,
       agg[sub_key] += ns;
     }
   }
-  if (!have_slowest_ || profile.latency_ns() > slowest_.latency_ns()) {
-    slowest_ = profile;
-    have_slowest_ = true;
-  }
   for (RequestObserver* observer : request_observers_) {
     observer->OnRequestProfile(profile, pending.events);
-  }
-  if (samples_.size() < options_.max_samples) {
-    samples_.push_back(std::move(profile));
   }
 }
 
@@ -305,9 +300,6 @@ void CriticalPathProfiler::ResetAggregation() {
   latency_ns_.Reset();
   blame_.clear();
   wait_detail_.clear();
-  samples_.clear();
-  slowest_ = RequestProfile{};
-  have_slowest_ = false;
   for (RequestObserver* observer : request_observers_) {
     observer->OnResetAggregation();
   }

@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "src/common/json.h"
+#include "src/common/logging.h"
+#include "src/profile/tail/tail.h"
 
 namespace ccnvme {
 namespace {
@@ -113,19 +115,6 @@ std::string FormatBlameReport(const CriticalPathProfiler& profiler,
     os << "  latency: " << profiler.latency_ns().Summary() << "\n";
   }
 
-  if (options.show_slowest && profiler.slowest() != nullptr) {
-    const auto& slow = *profiler.slowest();
-    os << "\n-- slowest request (req " << slow.req_id << ", tx " << slow.tx_id
-       << ", latency " << slow.latency_ns() << " ns) --\n";
-    for (const auto& seg : slow.critical_path) {
-      char buf[160];
-      std::snprintf(buf, sizeof(buf), "  [%12llu, %12llu) %-28s %12llu ns\n",
-                    static_cast<unsigned long long>(seg.begin_ns),
-                    static_cast<unsigned long long>(seg.end_ns), seg.key.name(),
-                    static_cast<unsigned long long>(seg.dur_ns()));
-      os << buf;
-    }
-  }
   return os.str();
 }
 
@@ -134,7 +123,7 @@ std::string FormatWhatIfCurve(const WhatIfEngine& engine, WaitEdge edge) {
   os << "what-if " << WaitEdgeName(edge) << " (" << engine.requests()
      << " requests, baseline mean " << engine.baseline_mean_ns() << " ns, p99 "
      << engine.BaselineQuantileNs(0.99) << " ns)\n";
-  for (double f : engine.options().factors) {
+  for (double f : WhatIfEngine::kFactors) {
     const WhatIfEngine::Prediction p = engine.Predict(edge, f);
     char buf[192];
     std::snprintf(buf, sizeof(buf),
@@ -156,7 +145,7 @@ std::string FormatFrontierTable(const WhatIfEngine& engine) {
   os << "=== optimization frontier (virtual speedup per wait edge) ===\n";
   os << "requests: " << engine.requests() << "  baseline mean: " << engine.baseline_mean_ns()
      << " ns  p99: " << engine.BaselineQuantileNs(0.99) << " ns\n";
-  const auto& factors = engine.options().factors;
+  const auto& factors = WhatIfEngine::kFactors;
   {
     std::ostringstream head;
     head << "  " << std::left;
@@ -185,30 +174,186 @@ std::string FormatFrontierTable(const WhatIfEngine& engine) {
   return os.str();
 }
 
-std::string FormatTailAttribution(const WhatIfEngine& engine, double quantile) {
-  std::ostringstream os;
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "-- tail-conditioned attribution (p%02.0f blame vector vs mean) --\n",
-                100.0 * quantile);
-  os << buf;
-  for (const WhatIfEngine::TailRow& row : engine.TailAttribution(quantile)) {
-    std::snprintf(buf, sizeof(buf), "  %-28s mean %6.2f%%   tail %6.2f%%   %+6.2f%%\n",
-                  BlameKey::FromPacked(row.packed_key).name(), 100.0 * row.mean_share,
-                  100.0 * row.tail_share, 100.0 * (row.tail_share - row.mean_share));
-    os << buf;
+namespace {
+
+void WriteWhatIf(JsonWriter& w, const CriticalPathProfiler& profiler,
+                 const WhatIfEngine& engine) {
+  w.Open('{');
+  w.Key("requests", true);
+  w.os << engine.requests();
+  w.Key("baseline_mean_ns", false);
+  w.os << engine.baseline_mean_ns();
+  w.Key("baseline_p99_ns", false);
+  w.os << engine.BaselineQuantileNs(0.99);
+  w.Key("factors", false);
+  w.Open('[');
+  bool first = true;
+  for (double f : WhatIfEngine::kFactors) {
+    if (!first) w.os << ',';
+    w.os << f;
+    first = false;
   }
-  return os.str();
+  w.Close(']');
+  w.Key("frontier", false);
+  w.Open('[');
+  first = true;
+  for (const WhatIfEngine::FrontierRow& row : engine.Frontier()) {
+    if (!first) w.os << ',';
+    w.NewlineIndent();
+    w.Open('{');
+    w.Key("edge", true);
+    w.String(WaitEdgeName(row.edge));
+    w.Key("blame_ns", false);
+    w.os << row.blame_ns;
+    w.Key("blame_share", false);
+    w.os << row.blame_share;
+    // Per-request blame distribution of this edge, so the what-if curve
+    // can be read against TAIL blame, not just the mean: an edge with a
+    // modest mean share but a fat p99.9 is a tail lever.
+    {
+      const auto bit = profiler.blame().find(BlameKey::Wait(row.edge).packed());
+      const Histogram* h =
+          bit == profiler.blame().end() ? nullptr : &bit->second.per_request_ns;
+      w.Key("blame_mean_ns", false);
+      w.os << (h == nullptr || h->count() == 0
+                   ? 0
+                   : static_cast<uint64_t>(h->Mean()));
+      w.Key("blame_p99_ns", false);
+      w.os << (h == nullptr ? 0 : h->Percentile(0.99));
+      w.Key("blame_p999_ns", false);
+      w.os << (h == nullptr ? 0 : h->Percentile(0.999));
+    }
+    w.Key("max_gain", false);
+    w.os << row.max_gain();
+    w.Key("curve", false);
+    w.Open('[');
+    bool cfirst = true;
+    for (const WhatIfEngine::Prediction& p : row.curve) {
+      if (!cfirst) w.os << ',';
+      w.NewlineIndent();
+      w.Open('{');
+      w.Key("factor", true);
+      w.os << p.factor;
+      w.Key("predicted_mean_ns", false);
+      w.os << (p.requests == 0 ? 0 : p.predicted_total_ns / p.requests);
+      w.Key("predicted_p99_ns", false);
+      w.os << p.predicted_p99_ns;
+      w.Key("gain", false);
+      w.os << p.mean_gain();
+      w.Key("tail_gain", false);
+      w.os << p.tail_gain();
+      w.Close('}');
+      cfirst = false;
+    }
+    w.Close(']');
+    w.Close('}');
+    first = false;
+  }
+  w.Close(']');
+  w.Close('}');
 }
 
-std::string PerfReportJson(const CriticalPathProfiler& profiler, const WhatIfEngine* engine,
-                           const PerfReportInfo& info, bool pretty) {
+void WriteTail(JsonWriter& w, const TailForensics& tail) {
+  const WindowedAggregator& win = tail.windows();
+  const Histogram& lat = tail.profiler().latency_ns();
+  w.Open('{');
+  w.Key("p50_ns", true);
+  w.os << lat.Percentile(0.5);
+  w.Key("p99_ns", false);
+  w.os << lat.Percentile(0.99);
+  w.Key("max_ns", false);
+  w.os << lat.max();
+  w.Key("tail_quantile", false);
+  w.os << TailForensics::kTailQuantile;
+  w.Key("tail_threshold_ns", false);
+  w.os << tail.TailThresholdNs();
+
+  w.Key("windows", false);
+  w.Open('{');
+  w.Key("window_ns", true);
+  w.os << win.options().window_ns;
+  w.Key("started", false);
+  w.os << win.windows_started();
+  w.Key("retained", false);
+  w.os << win.windows().size();
+  w.Key("evicted", false);
+  w.os << win.windows_evicted();
+  w.Key("rows", false);
+  w.Open('[');
+  bool first = true;
+  for (const WindowedAggregator::Window& row : win.windows()) {
+    if (!first) w.os << ',';
+    w.NewlineIndent();
+    w.Open('{');
+    w.Key("index", true);
+    w.os << row.index;
+    w.Key("begin_ns", false);
+    w.os << row.begin_ns(win.options().window_ns);
+    w.Key("requests", false);
+    w.os << row.requests;
+    w.Key("total_latency_ns", false);
+    w.os << row.total_latency_ns;
+    w.Key("p50_ns", false);
+    w.os << row.latency_ns.Percentile(0.5);
+    w.Key("p99_ns", false);
+    w.os << row.latency_ns.Percentile(0.99);
+    w.Key("max_ns", false);
+    w.os << row.latency_ns.max();
+    w.Key("dominant", false);
+    w.String(row.DominantKey().name());
+    w.Close('}');
+    first = false;
+  }
+  w.Close(']');
+  w.Close('}');
+
+  w.Key("signatures", false);
+  w.Open('[');
+  first = true;
+  for (const SignatureRule& rule : AllSignatureRules()) {
+    if (!first) w.os << ',';
+    w.NewlineIndent();
+    w.Open('{');
+    w.Key("pathology", true);
+    w.String(PathologyName(rule.pathology));
+    w.Key("culprit", false);
+    w.String(WaitEdgeName(rule.culprit));
+    w.Key("min_share", false);
+    w.os << rule.min_share;
+    w.Key("min_events", false);
+    w.os << rule.min_events;
+    w.Key("count", false);
+    w.os << tail.signature_counts()[static_cast<size_t>(rule.pathology)];
+    w.Close('}');
+    first = false;
+  }
+  w.Close(']');
+
+  w.Key("exemplars", false);
+  w.Open('[');
+  first = true;
+  for (const Exemplar& ex : tail.reservoir().global()) {
+    if (!first) w.os << ',';
+    w.NewlineIndent();
+    WriteExemplarInto(w, ex);
+    first = false;
+  }
+  w.Close(']');
+  w.Close('}');
+}
+
+}  // namespace
+
+std::string PerfReportJson(const CriticalPathProfiler& profiler, const WhatIfEngine& whatif,
+                           const TailForensics& tail, const PerfReportInfo& info,
+                           bool pretty) {
+  CCNVME_CHECK(&tail.profiler() == &profiler)
+      << "tail forensics observes a different profiler";
+  const uint64_t requests = profiler.finished_requests();
   JsonWriter w(pretty);
   w.Open('{');
   w.Key("schema", true);
   w.String(kPerfReportSchema);
-  w.Key("schema_version", false);
-  w.os << kPerfReportSchemaVersion;
   w.Key("workload", false);
   w.Open('{');
   w.Key("stack", true);
@@ -225,124 +370,38 @@ std::string PerfReportJson(const CriticalPathProfiler& profiler, const WhatIfEng
   w.os << info.queues;
   w.Close('}');
   w.Key("requests", false);
-  w.os << profiler.finished_requests();
+  w.os << requests;
   w.Key("total_latency_ns", false);
   w.os << profiler.total_latency_ns();
   w.Key("mean_ns", false);
-  w.os << (profiler.finished_requests() == 0
-               ? 0
-               : profiler.total_latency_ns() / profiler.finished_requests());
+  w.os << (requests == 0 ? 0 : profiler.total_latency_ns() / requests);
+
   w.Key("blame", false);
   w.Open('[');
   bool first = true;
-  for (const auto& [key, ns] : profiler.TopKeys(profiler.blame().size())) {
+  for (const TailForensics::TailDiffRow& row : tail.TailDiff()) {
     if (!first) w.os << ',';
     w.NewlineIndent();
     w.Open('{');
     w.Key("key", true);
-    w.String(key.name());
+    w.String(BlameKey::FromPacked(row.packed_key).name());
     w.Key("total_ns", false);
-    w.os << ns;
+    w.os << row.overall_ns;
     w.Key("share", false);
-    w.os << Pct(ns, profiler.total_latency_ns()) / 100.0;
+    w.os << row.overall_share;
+    w.Key("tail_ns", false);
+    w.os << row.tail_ns;
+    w.Key("tail_share", false);
+    w.os << row.tail_share;
     w.Close('}');
     first = false;
   }
   w.Close(']');
 
-  if (engine != nullptr) {
-    w.Key("whatif", false);
-    w.Open('{');
-    w.Key("requests", true);
-    w.os << engine->requests();
-    w.Key("baseline_mean_ns", false);
-    w.os << engine->baseline_mean_ns();
-    w.Key("baseline_p99_ns", false);
-    w.os << engine->BaselineQuantileNs(0.99);
-    w.Key("factors", false);
-    w.Open('[');
-    first = true;
-    for (double f : engine->options().factors) {
-      if (!first) w.os << ',';
-      w.os << f;
-      first = false;
-    }
-    w.Close(']');
-    w.Key("frontier", false);
-    w.Open('[');
-    first = true;
-    for (const WhatIfEngine::FrontierRow& row : engine->Frontier()) {
-      if (!first) w.os << ',';
-      w.NewlineIndent();
-      w.Open('{');
-      w.Key("edge", true);
-      w.String(WaitEdgeName(row.edge));
-      w.Key("blame_ns", false);
-      w.os << row.blame_ns;
-      w.Key("blame_share", false);
-      w.os << row.blame_share;
-      // Per-request blame distribution of this edge, so the what-if curve
-      // can be read against TAIL blame, not just the mean: an edge with a
-      // modest mean share but a fat p99.9 is a tail lever.
-      {
-        const auto bit = profiler.blame().find(BlameKey::Wait(row.edge).packed());
-        const Histogram* h =
-            bit == profiler.blame().end() ? nullptr : &bit->second.per_request_ns;
-        w.Key("blame_mean_ns", false);
-        w.os << (h == nullptr || h->count() == 0
-                     ? 0
-                     : static_cast<uint64_t>(h->Mean()));
-        w.Key("blame_p99_ns", false);
-        w.os << (h == nullptr ? 0 : h->Percentile(0.99));
-        w.Key("blame_p999_ns", false);
-        w.os << (h == nullptr ? 0 : h->Percentile(0.999));
-      }
-      w.Key("max_gain", false);
-      w.os << row.max_gain();
-      w.Key("curve", false);
-      w.Open('[');
-      bool cfirst = true;
-      for (const WhatIfEngine::Prediction& p : row.curve) {
-        if (!cfirst) w.os << ',';
-        w.NewlineIndent();
-        w.Open('{');
-        w.Key("factor", true);
-        w.os << p.factor;
-        w.Key("predicted_mean_ns", false);
-        w.os << (p.requests == 0 ? 0 : p.predicted_total_ns / p.requests);
-        w.Key("predicted_p99_ns", false);
-        w.os << p.predicted_p99_ns;
-        w.Key("gain", false);
-        w.os << p.mean_gain();
-        w.Key("tail_gain", false);
-        w.os << p.tail_gain();
-        w.Close('}');
-        cfirst = false;
-      }
-      w.Close(']');
-      w.Close('}');
-      first = false;
-    }
-    w.Close(']');
-    w.Key("tail", false);
-    w.Open('[');
-    first = true;
-    for (const WhatIfEngine::TailRow& row : engine->TailAttribution(0.99)) {
-      if (!first) w.os << ',';
-      w.NewlineIndent();
-      w.Open('{');
-      w.Key("key", true);
-      w.String(BlameKey::FromPacked(row.packed_key).name());
-      w.Key("mean_share", false);
-      w.os << row.mean_share;
-      w.Key("tail_share", false);
-      w.os << row.tail_share;
-      w.Close('}');
-      first = false;
-    }
-    w.Close(']');
-    w.Close('}');
-  }
+  w.Key("whatif", false);
+  WriteWhatIf(w, profiler, whatif);
+  w.Key("tail", false);
+  WriteTail(w, tail);
   w.Close('}');
   if (pretty) w.os << '\n';
   return w.os.str();
@@ -355,46 +414,43 @@ bool Fail(std::string* error, const std::string& msg) {
   return false;
 }
 
-}  // namespace
+constexpr double kEps = 1e-6;
 
-bool ValidatePerfReportJson(const JsonValue& doc, std::string* error) {
-  constexpr double kEps = 1e-6;
-  if (doc.type != JsonValue::Type::kObject) {
-    return Fail(error, "perf document is not a JSON object");
-  }
-  if (doc.Str("schema") != kPerfReportSchema) {
-    return Fail(error, "unknown schema '" + doc.Str("schema") + "'");
-  }
-  if (doc.U64("schema_version") != static_cast<uint64_t>(kPerfReportSchemaVersion)) {
-    return Fail(error, "schema_version " + std::to_string(doc.U64("schema_version")) +
-                           " != " + std::to_string(kPerfReportSchemaVersion));
-  }
-  if (doc.U64("requests") == 0) {
-    return Fail(error, "requests == 0 (empty profile)");
-  }
+// Overall shares tile the total latency exactly; tail shares tile the tail
+// exemplar set, or are all zero when that set is empty.
+bool ValidateBlame(const JsonValue& doc, std::string* error) {
   const JsonValue* blame = doc.Find("blame");
   if (blame == nullptr || blame->type != JsonValue::Type::kArray || blame->arr.empty()) {
     return Fail(error, "missing/empty blame array");
   }
   double share_sum = 0.0;
+  double tail_sum = 0.0;
   for (const JsonValue& row : blame->arr) {
     const double share = row.Num("share", -1.0);
-    if (share < -kEps || share > 1.0 + kEps) {
+    const double tail_share = row.Num("tail_share", -1.0);
+    if (share < -kEps || share > 1.0 + kEps || tail_share < -kEps ||
+        tail_share > 1.0 + kEps) {
       return Fail(error, "blame share out of [0,1] for '" + row.Str("key") + "'");
     }
     share_sum += share;
+    tail_sum += tail_share;
   }
-  // Every ns of every request window is attributed to exactly one key.
   if (share_sum < 1.0 - 1e-3 || share_sum > 1.0 + 1e-3) {
     return Fail(error, "blame shares sum to " + std::to_string(share_sum) + ", want 1");
   }
-
-  const JsonValue* whatif = doc.Find("whatif");
-  if (whatif == nullptr) {
-    return true;  // blame-only document — valid without the frontier
+  if (tail_sum > kEps && (tail_sum < 1.0 - 1e-3 || tail_sum > 1.0 + 1e-3)) {
+    return Fail(error,
+                "tail blame shares sum to " + std::to_string(tail_sum) + ", want 0 or 1");
   }
-  if (whatif->type != JsonValue::Type::kObject) {
-    return Fail(error, "whatif is not an object");
+  return true;
+}
+
+// The frontier names every registered wait edge exactly once, and every
+// curve is monotone in the factor with max_gain at its most aggressive point.
+bool ValidateWhatIf(const JsonValue& doc, std::string* error) {
+  const JsonValue* whatif = doc.Find("whatif");
+  if (whatif == nullptr || whatif->type != JsonValue::Type::kObject) {
+    return Fail(error, "missing whatif section");
   }
   if (whatif->U64("requests") == 0) {
     return Fail(error, "whatif.requests == 0");
@@ -407,7 +463,6 @@ bool ValidatePerfReportJson(const JsonValue& doc, std::string* error) {
   if (frontier == nullptr || frontier->type != JsonValue::Type::kArray) {
     return Fail(error, "missing whatif.frontier");
   }
-  // The frontier must name every registered wait edge exactly once.
   std::map<std::string, int> seen;
   for (const JsonValue& row : frontier->arr) {
     const std::string name = row.Str("edge");
@@ -463,19 +518,126 @@ bool ValidatePerfReportJson(const JsonValue& doc, std::string* error) {
     return Fail(error, "frontier covers " + std::to_string(seen.size()) + " of " +
                            std::to_string(kNumWaitEdges) + " registered edges");
   }
-  const JsonValue* tail = whatif->Find("tail");
-  if (tail == nullptr || tail->type != JsonValue::Type::kArray) {
-    return Fail(error, "missing whatif.tail");
+  return true;
+}
+
+// The signature registry appears whole with its culprits, window
+// bookkeeping adds up, and every exemplar's blame vector sums EXACTLY to
+// its end-to-end latency — the acceptance invariant of the tail layer.
+bool ValidateTail(const JsonValue& doc, std::string* error) {
+  const uint64_t requests = doc.U64("requests");
+  const JsonValue* tail = doc.Find("tail");
+  if (tail == nullptr || tail->type != JsonValue::Type::kObject) {
+    return Fail(error, "missing tail section");
   }
-  for (const JsonValue& row : tail->arr) {
-    const double mean_share = row.Num("mean_share", -1.0);
-    const double tail_share = row.Num("tail_share", -1.0);
-    if (mean_share < -kEps || mean_share > 1.0 + kEps || tail_share < -kEps ||
-        tail_share > 1.0 + kEps) {
-      return Fail(error, "tail share out of [0,1] for '" + row.Str("key") + "'");
+
+  const JsonValue* sigs = tail->Find("signatures");
+  if (sigs == nullptr || sigs->type != JsonValue::Type::kArray) {
+    return Fail(error, "missing tail.signatures");
+  }
+  std::map<std::string, int> seen;
+  for (const JsonValue& row : sigs->arr) {
+    const std::string name = row.Str("pathology");
+    const Pathology p = PathologyFromName(name);
+    if (p == Pathology::kNumPathologies) {
+      return Fail(error, "signatures name unregistered pathology '" + name + "'");
+    }
+    if (++seen[name] > 1) {
+      return Fail(error, "signatures name pathology '" + name + "' twice");
+    }
+    if (row.Str("culprit") != WaitEdgeName(RuleFor(p).culprit)) {
+      return Fail(error, "pathology '" + name + "' culprit '" + row.Str("culprit") +
+                             "' != registry culprit");
+    }
+    if (row.U64("count") > requests) {
+      return Fail(error, "pathology '" + name + "' count exceeds request count");
     }
   }
+  if (seen.size() != kNumPathologies) {
+    return Fail(error, "signatures cover " + std::to_string(seen.size()) + " of " +
+                           std::to_string(kNumPathologies) + " registered pathologies");
+  }
+
+  // No retained epoch is empty and retained + evicted == started.
+  const JsonValue* windows = tail->Find("windows");
+  if (windows == nullptr || windows->type != JsonValue::Type::kObject) {
+    return Fail(error, "missing tail.windows");
+  }
+  const JsonValue* rows = windows->Find("rows");
+  if (rows == nullptr || rows->type != JsonValue::Type::kArray) {
+    return Fail(error, "missing tail.windows.rows");
+  }
+  if (windows->U64("retained") != rows->arr.size()) {
+    return Fail(error, "windows.retained != rows length");
+  }
+  if (windows->U64("started") != windows->U64("retained") + windows->U64("evicted")) {
+    return Fail(error, "windows.started != retained + evicted");
+  }
+  uint64_t window_requests = 0;
+  uint64_t prev_index = 0;
+  bool first_row = true;
+  for (const JsonValue& row : rows->arr) {
+    if (row.U64("requests") == 0) {
+      return Fail(error, "retained window with zero requests");
+    }
+    const uint64_t index = row.U64("index");
+    if (!first_row && index <= prev_index) {
+      return Fail(error, "window indices not strictly increasing");
+    }
+    prev_index = index;
+    first_row = false;
+    window_requests += row.U64("requests");
+  }
+  if (window_requests > requests) {
+    return Fail(error, "retained windows hold more requests than the run finished");
+  }
+
+  const JsonValue* exemplars = tail->Find("exemplars");
+  if (exemplars == nullptr || exemplars->type != JsonValue::Type::kArray) {
+    return Fail(error, "missing tail.exemplars");
+  }
+  double prev_latency = -1.0;
+  bool first_ex = true;
+  for (const JsonValue& ex : exemplars->arr) {
+    Exemplar parsed;
+    std::string ex_error;
+    if (!ParseExemplarJson(ex, &parsed, &ex_error)) {
+      return Fail(error, "exemplar: " + ex_error);
+    }
+    if (parsed.events.empty()) {
+      return Fail(error, "exemplar req " + std::to_string(parsed.profile.req_id) +
+                             " has no frozen events");
+    }
+    if (parsed.profile.TotalBlame() != parsed.profile.latency_ns()) {
+      return Fail(error, "exemplar req " + std::to_string(parsed.profile.req_id) +
+                             ": blame sums to " +
+                             std::to_string(parsed.profile.TotalBlame()) +
+                             " ns != latency " +
+                             std::to_string(parsed.profile.latency_ns()) + " ns");
+    }
+    const double latency = ex.Num("latency_ns", -1.0);
+    if (!first_ex && latency > prev_latency + kEps) {
+      return Fail(error, "exemplars not sorted by latency descending");
+    }
+    prev_latency = latency;
+    first_ex = false;
+  }
   return true;
+}
+
+}  // namespace
+
+bool ValidatePerfReportJson(const JsonValue& doc, std::string* error) {
+  if (doc.type != JsonValue::Type::kObject) {
+    return Fail(error, "perf document is not a JSON object");
+  }
+  if (doc.Str("schema") != kPerfReportSchema) {
+    return Fail(error, "unknown schema '" + doc.Str("schema") + "'");
+  }
+  if (doc.U64("requests") == 0) {
+    return Fail(error, "requests == 0 (empty profile)");
+  }
+  return ValidateBlame(doc, error) && ValidateWhatIf(doc, error) && ValidateTail(doc, error);
 }
 
 std::string FlameJson(const CriticalPathProfiler& profiler, bool pretty) {

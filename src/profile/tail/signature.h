@@ -11,7 +11,7 @@
 // unlucky wait). The enum, the report names, the per-rule thresholds and
 // the AllSignatureRules() iteration helper are all generated from the one
 // list, mirroring the wait-edge registry idiom, so `perf_report --tail`,
-// the ccnvme-tail-v2 schema validation and tests/tail_test.cc always agree
+// the ccnvme-perf-v2 schema validation and tests/tail_test.cc always agree
 // on the vocabulary.
 //
 // Thresholds are calibrated against the clean fig14 workloads (negative

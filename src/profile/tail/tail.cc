@@ -7,6 +7,7 @@
 #include "src/common/json.h"
 #include "src/common/logging.h"
 #include "src/metrics/metrics.h"
+#include "src/profile/report.h"
 
 namespace ccnvme {
 namespace {
@@ -34,10 +35,7 @@ bool Fail(std::string* error, const std::string& msg) {
 TailForensics::TailForensics(TailOptions options)
     : options_(options),
       windows_(options.window),
-      reservoir_(options.reservoir) {
-  CCNVME_CHECK_GT(options_.tail_quantile, 0.0);
-  CCNVME_CHECK_LT(options_.tail_quantile, 1.0);
-}
+      reservoir_(options.reservoir) {}
 
 void TailForensics::Attach(CriticalPathProfiler* profiler) {
   CCNVME_CHECK(profiler != nullptr);
@@ -95,7 +93,7 @@ uint64_t TailForensics::total_signatures() const {
 }
 
 uint64_t TailForensics::TailThresholdNs() const {
-  return profiler().latency_ns().Percentile(options_.tail_quantile);
+  return profiler().latency_ns().Percentile(kTailQuantile);
 }
 
 std::vector<const Exemplar*> TailForensics::TailExemplars() const {
@@ -160,7 +158,7 @@ std::string FormatTailReport(const TailForensics& tail) {
   const Histogram& lat = profiler.latency_ns();
   const uint64_t requests = profiler.finished_requests();
 
-  os << "=== tail forensics (" << kTailReportSchema << ") ===\n";
+  os << "=== tail forensics (" << kPerfReportSchema << ") ===\n";
   std::snprintf(buf, sizeof(buf),
                 "requests: %llu  mean: %llu ns  p50: %llu ns  p99: %llu ns  "
                 "p%.1f: %llu ns  max: %llu ns\n",
@@ -169,7 +167,7 @@ std::string FormatTailReport(const TailForensics& tail) {
                     requests == 0 ? 0 : profiler.total_latency_ns() / requests),
                 static_cast<unsigned long long>(lat.Percentile(0.5)),
                 static_cast<unsigned long long>(lat.Percentile(0.99)),
-                100.0 * tail.options().tail_quantile,
+                100.0 * TailForensics::kTailQuantile,
                 static_cast<unsigned long long>(tail.TailThresholdNs()),
                 static_cast<unsigned long long>(lat.max()));
   os << buf;
@@ -275,8 +273,6 @@ std::string FormatTailReport(const TailForensics& tail) {
 }
 
 // --- Exemplar JSON ----------------------------------------------------------
-
-namespace {
 
 void WriteExemplarInto(JsonWriter& w, const Exemplar& ex) {
   w.Open('{');
@@ -394,8 +390,6 @@ void WriteExemplarInto(JsonWriter& w, const Exemplar& ex) {
   w.Close(']');
   w.Close('}');
 }
-
-}  // namespace
 
 std::string ExemplarJson(const Exemplar& exemplar, bool pretty) {
   JsonWriter w(pretty);
@@ -524,297 +518,6 @@ bool ParseExemplarJson(const JsonValue& doc, Exemplar* out, std::string* error) 
   }
 
   *out = std::move(ex);
-  return true;
-}
-
-// --- ccnvme-tail-v2 document ------------------------------------------------
-
-std::string TailReportJson(const TailForensics& tail, const PerfReportInfo& info,
-                           bool pretty) {
-  const WindowedAggregator& win = tail.windows();
-  const CriticalPathProfiler& profiler = tail.profiler();
-  const Histogram& lat = profiler.latency_ns();
-  const uint64_t requests = profiler.finished_requests();
-  JsonWriter w(pretty);
-  w.Open('{');
-  w.Key("schema", true);
-  w.String(kTailReportSchema);
-  w.Key("schema_version", false);
-  w.os << kTailReportSchemaVersion;
-  w.Key("workload", false);
-  w.Open('{');
-  w.Key("stack", true);
-  w.String(info.stack);
-  w.Key("mode", false);
-  w.String(info.mode);
-  w.Key("iters", false);
-  w.os << info.iters;
-  w.Key("warmup", false);
-  w.os << info.warmup;
-  w.Key("threads", false);
-  w.os << info.threads;
-  w.Key("queues", false);
-  w.os << info.queues;
-  w.Close('}');
-
-  w.Key("requests", false);
-  w.os << requests;
-  w.Key("total_latency_ns", false);
-  w.os << profiler.total_latency_ns();
-  w.Key("mean_ns", false);
-  w.os << (requests == 0 ? 0 : profiler.total_latency_ns() / requests);
-  w.Key("p50_ns", false);
-  w.os << lat.Percentile(0.5);
-  w.Key("p99_ns", false);
-  w.os << lat.Percentile(0.99);
-  w.Key("max_ns", false);
-  w.os << lat.max();
-  w.Key("tail_quantile", false);
-  w.os << tail.options().tail_quantile;
-  w.Key("tail_threshold_ns", false);
-  w.os << tail.TailThresholdNs();
-
-  w.Key("windows", false);
-  w.Open('{');
-  w.Key("window_ns", true);
-  w.os << win.options().window_ns;
-  w.Key("started", false);
-  w.os << win.windows_started();
-  w.Key("retained", false);
-  w.os << win.windows().size();
-  w.Key("evicted", false);
-  w.os << win.windows_evicted();
-  w.Key("rows", false);
-  w.Open('[');
-  bool first = true;
-  for (const WindowedAggregator::Window& row : win.windows()) {
-    if (!first) w.os << ',';
-    w.NewlineIndent();
-    w.Open('{');
-    w.Key("index", true);
-    w.os << row.index;
-    w.Key("begin_ns", false);
-    w.os << row.begin_ns(win.options().window_ns);
-    w.Key("requests", false);
-    w.os << row.requests;
-    w.Key("total_latency_ns", false);
-    w.os << row.total_latency_ns;
-    w.Key("p50_ns", false);
-    w.os << row.latency_ns.Percentile(0.5);
-    w.Key("p99_ns", false);
-    w.os << row.latency_ns.Percentile(0.99);
-    w.Key("max_ns", false);
-    w.os << row.latency_ns.max();
-    w.Key("dominant", false);
-    w.String(row.DominantKey().name());
-    w.Close('}');
-    first = false;
-  }
-  w.Close(']');
-  w.Close('}');
-
-  w.Key("blame_diff", false);
-  w.Open('[');
-  first = true;
-  for (const TailForensics::TailDiffRow& row : tail.TailDiff()) {
-    if (!first) w.os << ',';
-    w.NewlineIndent();
-    w.Open('{');
-    w.Key("key", true);
-    w.String(BlameKey::FromPacked(row.packed_key).name());
-    w.Key("overall_ns", false);
-    w.os << row.overall_ns;
-    w.Key("overall_share", false);
-    w.os << row.overall_share;
-    w.Key("tail_ns", false);
-    w.os << row.tail_ns;
-    w.Key("tail_share", false);
-    w.os << row.tail_share;
-    w.Close('}');
-    first = false;
-  }
-  w.Close(']');
-
-  w.Key("signatures", false);
-  w.Open('[');
-  first = true;
-  for (const SignatureRule& rule : AllSignatureRules()) {
-    if (!first) w.os << ',';
-    w.NewlineIndent();
-    w.Open('{');
-    w.Key("pathology", true);
-    w.String(PathologyName(rule.pathology));
-    w.Key("culprit", false);
-    w.String(WaitEdgeName(rule.culprit));
-    w.Key("min_share", false);
-    w.os << rule.min_share;
-    w.Key("min_events", false);
-    w.os << rule.min_events;
-    w.Key("count", false);
-    w.os << tail.signature_counts()[static_cast<size_t>(rule.pathology)];
-    w.Close('}');
-    first = false;
-  }
-  w.Close(']');
-
-  w.Key("exemplars", false);
-  w.Open('[');
-  first = true;
-  for (const Exemplar& ex : tail.reservoir().global()) {
-    if (!first) w.os << ',';
-    w.NewlineIndent();
-    WriteExemplarInto(w, ex);
-    first = false;
-  }
-  w.Close(']');
-  w.Close('}');
-  if (pretty) w.os << '\n';
-  return w.os.str();
-}
-
-bool ValidateTailReportJson(const JsonValue& doc, std::string* error) {
-  constexpr double kEps = 1e-6;
-  if (doc.type != JsonValue::Type::kObject) {
-    return Fail(error, "tail document is not a JSON object");
-  }
-  if (doc.Str("schema") != kTailReportSchema) {
-    return Fail(error, "unknown schema '" + doc.Str("schema") + "'");
-  }
-  if (doc.U64("schema_version") != static_cast<uint64_t>(kTailReportSchemaVersion)) {
-    return Fail(error, "schema_version " + std::to_string(doc.U64("schema_version")) +
-                           " != " + std::to_string(kTailReportSchemaVersion));
-  }
-  const uint64_t requests = doc.U64("requests");
-  if (requests == 0) {
-    return Fail(error, "requests == 0 (empty tail profile)");
-  }
-
-  // Blame diff: overall shares tile the total exactly; tail shares tile the
-  // tail exemplar set (or are all zero when the set is empty).
-  const JsonValue* diff = doc.Find("blame_diff");
-  if (diff == nullptr || diff->type != JsonValue::Type::kArray || diff->arr.empty()) {
-    return Fail(error, "missing/empty blame_diff");
-  }
-  double overall_sum = 0.0;
-  double tail_sum = 0.0;
-  for (const JsonValue& row : diff->arr) {
-    const double overall = row.Num("overall_share", -1.0);
-    const double tail_share = row.Num("tail_share", -1.0);
-    if (overall < -kEps || overall > 1.0 + kEps || tail_share < -kEps ||
-        tail_share > 1.0 + kEps) {
-      return Fail(error, "blame_diff share out of [0,1] for '" + row.Str("key") + "'");
-    }
-    overall_sum += overall;
-    tail_sum += tail_share;
-  }
-  if (overall_sum < 1.0 - 1e-3 || overall_sum > 1.0 + 1e-3) {
-    return Fail(error,
-                "overall blame shares sum to " + std::to_string(overall_sum) + ", want 1");
-  }
-  if (tail_sum > kEps && (tail_sum < 1.0 - 1e-3 || tail_sum > 1.0 + 1e-3)) {
-    return Fail(error,
-                "tail blame shares sum to " + std::to_string(tail_sum) + ", want 0 or 1");
-  }
-
-  // Signature section: the whole registry, exactly once each, with the
-  // registry culprit.
-  const JsonValue* sigs = doc.Find("signatures");
-  if (sigs == nullptr || sigs->type != JsonValue::Type::kArray) {
-    return Fail(error, "missing signatures array");
-  }
-  std::map<std::string, int> seen;
-  for (const JsonValue& row : sigs->arr) {
-    const std::string name = row.Str("pathology");
-    const Pathology p = PathologyFromName(name);
-    if (p == Pathology::kNumPathologies) {
-      return Fail(error, "signatures name unregistered pathology '" + name + "'");
-    }
-    if (++seen[name] > 1) {
-      return Fail(error, "signatures name pathology '" + name + "' twice");
-    }
-    if (row.Str("culprit") != WaitEdgeName(RuleFor(p).culprit)) {
-      return Fail(error, "pathology '" + name + "' culprit '" + row.Str("culprit") +
-                             "' != registry culprit");
-    }
-    if (row.U64("count") > requests) {
-      return Fail(error, "pathology '" + name + "' count exceeds request count");
-    }
-  }
-  if (seen.size() != kNumPathologies) {
-    return Fail(error, "signatures cover " + std::to_string(seen.size()) + " of " +
-                           std::to_string(kNumPathologies) + " registered pathologies");
-  }
-
-  // Windows: bookkeeping adds up and no retained epoch is empty.
-  const JsonValue* windows = doc.Find("windows");
-  if (windows == nullptr || windows->type != JsonValue::Type::kObject) {
-    return Fail(error, "missing windows section");
-  }
-  const JsonValue* rows = windows->Find("rows");
-  if (rows == nullptr || rows->type != JsonValue::Type::kArray) {
-    return Fail(error, "missing windows.rows");
-  }
-  if (windows->U64("retained") != rows->arr.size()) {
-    return Fail(error, "windows.retained != rows length");
-  }
-  if (windows->U64("started") != windows->U64("retained") + windows->U64("evicted")) {
-    return Fail(error, "windows.started != retained + evicted");
-  }
-  uint64_t window_requests = 0;
-  uint64_t prev_index = 0;
-  bool first_row = true;
-  for (const JsonValue& row : rows->arr) {
-    if (row.U64("requests") == 0) {
-      return Fail(error, "retained window with zero requests");
-    }
-    const uint64_t index = row.U64("index");
-    if (!first_row && index <= prev_index) {
-      return Fail(error, "window indices not strictly increasing");
-    }
-    prev_index = index;
-    first_row = false;
-    window_requests += row.U64("requests");
-  }
-  if (window_requests > requests) {
-    return Fail(error, "retained windows hold more requests than the run finished");
-  }
-
-  // Exemplars: descending latency, and every blame vector sums EXACTLY to
-  // its end-to-end latency — the acceptance invariant of the whole layer.
-  const JsonValue* exemplars = doc.Find("exemplars");
-  if (exemplars == nullptr || exemplars->type != JsonValue::Type::kArray) {
-    return Fail(error, "missing exemplars array");
-  }
-  double prev_latency = -1.0;
-  bool first_ex = true;
-  for (const JsonValue& ex : exemplars->arr) {
-    Exemplar parsed;
-    std::string ex_error;
-    if (!ParseExemplarJson(ex, &parsed, &ex_error)) {
-      return Fail(error, "exemplar: " + ex_error);
-    }
-    if (parsed.events.empty()) {
-      return Fail(error, "exemplar req " + std::to_string(parsed.profile.req_id) +
-                             " has no frozen events");
-    }
-    uint64_t blame_sum = 0;
-    for (const auto& [packed, ns] : parsed.profile.blame_ns) {
-      (void)packed;
-      blame_sum += ns;
-    }
-    if (blame_sum != parsed.profile.latency_ns()) {
-      return Fail(error, "exemplar req " + std::to_string(parsed.profile.req_id) +
-                             ": blame sums to " + std::to_string(blame_sum) +
-                             " ns != latency " +
-                             std::to_string(parsed.profile.latency_ns()) + " ns");
-    }
-    const double latency = ex.Num("latency_ns", -1.0);
-    if (!first_ex && latency > prev_latency + kEps) {
-      return Fail(error, "exemplars not sorted by latency descending");
-    }
-    prev_latency = latency;
-    first_ex = false;
-  }
   return true;
 }
 

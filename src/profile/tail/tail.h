@@ -23,9 +23,9 @@
 // virtual time (proven by tests/tail_test.cc fingerprints).
 //
 // Surfaces: FormatTailReport (the `perf_report --tail` text — median-vs-
-// p99.9 blame diff, per-signature counts, exemplar drill-down) and
-// TailReportJson, the schema-versioned ccnvme-tail-v2 document
-// ValidateTailReportJson / `metrics_report --check` validate.
+// p99.9 blame diff, per-signature counts, exemplar drill-down) and the
+// `tail` section plus per-key tail blame of the one perf document
+// (PerfReportJson, src/profile/report.h).
 #ifndef SRC_PROFILE_TAIL_TAIL_H_
 #define SRC_PROFILE_TAIL_TAIL_H_
 
@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "src/profile/report.h"
 #include "src/profile/tail/reservoir.h"
 #include "src/profile/tail/signature.h"
 #include "src/profile/tail/windowed.h"
@@ -42,16 +41,19 @@
 namespace ccnvme {
 
 class Metrics;
+struct JsonValue;
+struct JsonWriter;
 
 struct TailOptions {
   WindowedOptions window;
   ReservoirOptions reservoir;
-  // Latency quantile that defines "the tail" for the blame-diff table.
-  double tail_quantile = 0.999;
 };
 
 class TailForensics : public CriticalPathProfiler::RequestObserver {
  public:
+  // Latency quantile that defines "the tail" for the blame-diff table.
+  static constexpr double kTailQuantile = 0.999;
+
   explicit TailForensics(TailOptions options = {});
 
   // Registers this layer as |profiler|'s request observer. The profiler
@@ -85,8 +87,8 @@ class TailForensics : public CriticalPathProfiler::RequestObserver {
   }
   uint64_t total_signatures() const;
 
-  // Latency at options().tail_quantile over the profiler's latency
-  // histogram — the "p99.9" boundary of the blame-diff table.
+  // Latency at kTailQuantile over the profiler's latency histogram — the
+  // "p99.9" boundary of the blame-diff table.
   uint64_t TailThresholdNs() const;
 
   // Median-vs-tail blame decomposition. The tail column aggregates the
@@ -120,10 +122,6 @@ class TailForensics : public CriticalPathProfiler::RequestObserver {
 
 // --- Reports ----------------------------------------------------------------
 
-// Schema identity of the machine-readable tail document below.
-inline constexpr const char* kTailReportSchema = "ccnvme-tail-v2";
-inline constexpr int kTailReportSchemaVersion = 2;
-
 // The `perf_report --tail` text: headline quantiles, window summary,
 // median-vs-p99.9 blame diff, per-signature counts and the exemplar
 // drill-down (top outliers with blame vector + verdicts + critical path).
@@ -133,24 +131,13 @@ std::string FormatTailReport(const TailForensics& tail);
 // froze: profile, blame, critical path, raw events, metric counters,
 // verdicts).
 std::string ExemplarJson(const Exemplar& exemplar, bool pretty = true);
+// The same object written into an enclosing document at |w|'s position.
+void WriteExemplarInto(JsonWriter& w, const Exemplar& exemplar);
 
 // Reconstructs an exemplar from a parsed ExemplarJson document (the
 // round-trip tests/tail_test.cc asserts). On failure returns false with a
 // one-line diagnostic in |error|.
 bool ParseExemplarJson(const JsonValue& doc, Exemplar* out, std::string* error);
-
-// The full ccnvme-tail-v2 document: schema header, workload echo, latency
-// quantiles, window rows, blame diff, per-signature counts and embedded
-// exemplars.
-std::string TailReportJson(const TailForensics& tail, const PerfReportInfo& info,
-                           bool pretty = true);
-
-// Structural validation of a parsed ccnvme-tail-v2 document: schema match,
-// overall blame shares sum to ~1, signature section names every registered
-// pathology exactly once with its registry culprit, window rows bounded by
-// the request count, and every exemplar's blame vector sums EXACTLY to its
-// end-to-end latency. On failure returns false with a diagnostic.
-bool ValidateTailReportJson(const JsonValue& doc, std::string* error);
 
 }  // namespace ccnvme
 

@@ -8,6 +8,10 @@
 namespace ccnvme {
 namespace {
 
+// Retained per-request records; the oldest is evicted first
+// (deterministic).
+constexpr size_t kMaxRequests = 1 << 16;
+
 double Clamp01(double f) { return f < 0.0 ? 0.0 : (f > 1.0 ? 1.0 : f); }
 
 // Nearest-rank quantile over an unsorted copy (exact, deterministic).
@@ -20,13 +24,6 @@ uint64_t QuantileNs(std::vector<uint64_t> v, double q) {
 }
 
 }  // namespace
-
-WhatIfEngine::WhatIfEngine(WhatIfOptions options) : options_(std::move(options)) {
-  CCNVME_CHECK(!options_.factors.empty());
-  // Most aggressive factor first: FrontierRow::max_gain reads curve.front().
-  std::sort(options_.factors.begin(), options_.factors.end());
-  CCNVME_CHECK_GT(options_.max_requests, 0u);
-}
 
 void WhatIfEngine::Attach(CriticalPathProfiler* profiler) {
   CCNVME_CHECK(profiler != nullptr);
@@ -51,7 +48,7 @@ void WhatIfEngine::OnRequestProfile(const CriticalPathProfiler::RequestProfile& 
   rec.blame.assign(profile.blame_ns.begin(), profile.blame_ns.end());
   baseline_total_ns_ += rec.latency();
   records_.push_back(std::move(rec));
-  while (records_.size() > options_.max_requests) {
+  while (records_.size() > kMaxRequests) {
     baseline_total_ns_ -= records_.front().latency();
     records_.pop_front();
   }
@@ -321,7 +318,7 @@ std::vector<WhatIfEngine::FrontierRow> WhatIfEngine::Frontier() const {
                           ? 0.0
                           : static_cast<double>(row.blame_ns) /
                                 static_cast<double>(baseline_total_ns_);
-    for (double f : options_.factors) {
+    for (double f : kFactors) {
       row.curve.push_back(Predict(e, f));
     }
     rows.push_back(std::move(row));
@@ -330,40 +327,6 @@ std::vector<WhatIfEngine::FrontierRow> WhatIfEngine::Frontier() const {
     if (a.max_gain() != b.max_gain()) return a.max_gain() > b.max_gain();
     if (a.blame_ns != b.blame_ns) return a.blame_ns > b.blame_ns;
     return static_cast<uint16_t>(a.edge) < static_cast<uint16_t>(b.edge);
-  });
-  return rows;
-}
-
-std::vector<WhatIfEngine::TailRow> WhatIfEngine::TailAttribution(double quantile) const {
-  const uint64_t threshold = BaselineQuantileNs(quantile);
-  std::map<uint32_t, uint64_t> mean_ns, tail_ns;
-  uint64_t tail_total = 0;
-  for (const RequestRecord& r : records_) {
-    const bool in_tail = r.latency() >= threshold;
-    if (in_tail) tail_total += r.latency();
-    for (const auto& [packed, ns] : r.blame) {
-      mean_ns[packed] += ns;
-      if (in_tail) tail_ns[packed] += ns;
-    }
-  }
-  std::vector<TailRow> rows;
-  rows.reserve(mean_ns.size());
-  for (const auto& [packed, ns] : mean_ns) {
-    TailRow row;
-    row.packed_key = packed;
-    row.mean_share = baseline_total_ns_ == 0
-                         ? 0.0
-                         : static_cast<double>(ns) / static_cast<double>(baseline_total_ns_);
-    auto it = tail_ns.find(packed);
-    row.tail_share = (it == tail_ns.end() || tail_total == 0)
-                         ? 0.0
-                         : static_cast<double>(it->second) / static_cast<double>(tail_total);
-    rows.push_back(row);
-  }
-  std::stable_sort(rows.begin(), rows.end(), [](const TailRow& a, const TailRow& b) {
-    if (a.tail_share != b.tail_share) return a.tail_share > b.tail_share;
-    if (a.mean_share != b.mean_share) return a.mean_share > b.mean_share;
-    return a.packed_key < b.packed_key;
   });
   return rows;
 }

@@ -44,6 +44,7 @@
 #ifndef SRC_PROFILE_WHATIF_H_
 #define SRC_PROFILE_WHATIF_H_
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -53,17 +54,12 @@
 
 namespace ccnvme {
 
-struct WhatIfOptions {
-  // Scale factors evaluated per edge for the frontier curve, descending
-  // gain order (f = 0 removes the edge, f = 1 leaves it untouched).
-  std::vector<double> factors = {0.0, 0.25, 0.5, 0.75};
-  // Retained per-request records; oldest evicted first (deterministic).
-  size_t max_requests = 1 << 16;
-};
-
 class WhatIfEngine : public CriticalPathProfiler::RequestObserver {
  public:
-  explicit WhatIfEngine(WhatIfOptions options = {});
+  // Scale factors evaluated per edge for the frontier curve (f = 0 removes
+  // the edge, f = 1 leaves it untouched). Ascending, so the most aggressive
+  // comes first: FrontierRow::max_gain reads curve.front().
+  static constexpr std::array<double, 4> kFactors = {0.0, 0.25, 0.5, 0.75};
 
   // Convenience: profiler->AddRequestObserver(this).
   void Attach(CriticalPathProfiler* profiler);
@@ -130,7 +126,7 @@ class WhatIfEngine : public CriticalPathProfiler::RequestObserver {
     // re-simulation says Y%".
     uint64_t blame_ns = 0;
     double blame_share = 0.0;  // of total baseline latency
-    std::vector<Prediction> curve;  // one point per options.factors entry
+    std::vector<Prediction> curve;  // one point per kFactors entry
     // Gain at the most aggressive factor — the edge's predicted ceiling.
     double max_gain() const { return curve.empty() ? 0.0 : curve.front().mean_gain(); }
   };
@@ -139,20 +135,6 @@ class WhatIfEngine : public CriticalPathProfiler::RequestObserver {
   // predicted max gain descending (ties: blame, then enum order). Zero-blame
   // edges rank last with flat curves — the negative control.
   std::vector<FrontierRow> Frontier() const;
-
-  // --- Tail-conditioned attribution ----------------------------------------
-
-  struct TailRow {
-    uint32_t packed_key = 0;  // BlameKey::packed()
-    double mean_share = 0.0;  // blame share across all requests
-    double tail_share = 0.0;  // blame share across requests >= the quantile
-  };
-  // Blame shares over the slowest (1 - quantile) requests vs over all
-  // requests: which key dominates the tail, not just the average. Rows for
-  // every key that got blame anywhere, ranked by tail share descending.
-  std::vector<TailRow> TailAttribution(double quantile = 0.99) const;
-
-  const WhatIfOptions& options() const { return options_; }
 
  private:
   struct WaitIv {
@@ -181,7 +163,6 @@ class WhatIfEngine : public CriticalPathProfiler::RequestObserver {
   uint64_t PredictOne(const RequestRecord& r, WaitEdge edge, double factor,
                       const std::map<std::pair<uint64_t, uint16_t>, uint64_t>& release) const;
 
-  WhatIfOptions options_;
   std::deque<RequestRecord> records_;
   uint64_t baseline_total_ns_ = 0;
 };

@@ -42,16 +42,31 @@ TraceEvent Wait(WaitEdge e, uint64_t begin, uint64_t dur, uint64_t req,
   return ev;
 }
 
+// Keeps every finished request profile the profiler hands its observers.
+class Collector : public CriticalPathProfiler::RequestObserver {
+ public:
+  void OnRequestProfile(const CriticalPathProfiler::RequestProfile& profile,
+                        const std::vector<TraceEvent>& events) override {
+    (void)events;
+    profiles.push_back(profile);
+  }
+  std::vector<CriticalPathProfiler::RequestProfile> profiles;
+};
+
 // Feeds |events| then the root span; returns the finalized profile.
 CriticalPathProfiler::RequestProfile Profile(
     CriticalPathProfiler& profiler, const std::vector<TraceEvent>& events,
     uint64_t root_begin, uint64_t root_dur, uint64_t req = 1) {
+  Collector collector;
+  profiler.AddRequestObserver(&collector);
   for (const TraceEvent& ev : events) {
     profiler.OnTraceEvent(ev);
   }
   profiler.OnTraceEvent(Span(TracePoint::kSyncTotal, root_begin, root_dur, req));
-  EXPECT_FALSE(profiler.samples().empty());
-  return profiler.samples().back();
+  profiler.RemoveRequestObserver(&collector);
+  EXPECT_EQ(collector.profiles.size(), 1u);
+  return collector.profiles.empty() ? CriticalPathProfiler::RequestProfile{}
+                                    : collector.profiles.back();
 }
 
 uint64_t BlameOf(const CriticalPathProfiler::RequestProfile& p, BlameKey key) {
@@ -231,8 +246,8 @@ TEST(CriticalPathTest, AggregatesAndReset) {
   profiler.ResetAggregation();
   EXPECT_EQ(profiler.finished_requests(), 0u);
   EXPECT_TRUE(profiler.blame().empty());
-  EXPECT_TRUE(profiler.samples().empty());
-  EXPECT_EQ(profiler.slowest(), nullptr);
+  EXPECT_TRUE(profiler.wait_detail().empty());
+  EXPECT_EQ(profiler.total_latency_ns(), 0u);
 }
 
 // --- Real workload --------------------------------------------------------
@@ -267,19 +282,22 @@ uint64_t RunFsyncWorkload(StorageStack& stack, int iters) {
 // and the aggregates are consistent with the per-request profiles.
 TEST(CriticalPathWorkloadTest, ExactSumOnEveryRequest) {
   StorageStack stack(MqfsFsyncConfig());
-  ProfilerOptions opts;
-  opts.max_samples = 1024;  // retain every request of the run
-  CriticalPathProfiler& profiler = stack.EnableProfiling(opts);
+  CriticalPathProfiler& profiler = stack.EnableProfiling();
+  Collector collector;  // retains every request of the run
+  profiler.AddRequestObserver(&collector);
   RunFsyncWorkload(stack, 50);
 
   EXPECT_GE(profiler.finished_requests(), 50u);
-  ASSERT_FALSE(profiler.samples().empty());
+  ASSERT_EQ(collector.profiles.size(), profiler.finished_requests());
   uint64_t latency_sum = 0;
-  for (const auto& p : profiler.samples()) {
+  const CriticalPathProfiler::RequestProfile* slowest = nullptr;
+  for (const auto& p : collector.profiles) {
     ExpectExactSum(p);
     latency_sum += p.latency_ns();
+    if (slowest == nullptr || p.latency_ns() > slowest->latency_ns()) slowest = &p;
   }
   EXPECT_EQ(latency_sum, profiler.total_latency_ns());
+  EXPECT_EQ(slowest->latency_ns(), profiler.latency_ns().max());
 
   // Aggregate blame is the column sum of the per-request vectors, so it must
   // also sum to the total latency.
@@ -289,10 +307,6 @@ TEST(CriticalPathWorkloadTest, ExactSumOnEveryRequest) {
 
   // The durability round trip dominates the MQFS fsync path (Fig. 14).
   EXPECT_EQ(profiler.DominantKey(), BlameKey::Wait(WaitEdge::kTxDurable));
-
-  const auto* slowest = profiler.slowest();
-  ASSERT_NE(slowest, nullptr);
-  ExpectExactSum(*slowest);
 
   // Reports render without tripping any internal checks and name the edge.
   const std::string report = FormatBlameReport(profiler);

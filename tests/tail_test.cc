@@ -4,11 +4,10 @@
 // knobs bench/core_pathologies turns) — and a clean run yields ZERO
 // signatures (negative control). The windowed aggregator and exemplar
 // reservoir keep their bounds and determinism, attaching the layer never
-// perturbs virtual time, the exemplar JSON round-trips losslessly, the
-// ccnvme-tail-v2 document validates (and tampered documents do not), and
-// the tracer's
-// ring-wraparound drop counter fires iff an open request's events are
-// discarded.
+// perturbs virtual time, the exemplar JSON round-trips losslessly, the tail
+// section of the ccnvme-perf-v2 document validates (and tampered documents
+// do not), and the tracer's ring-wraparound drop counter fires iff an open
+// request's events are discarded.
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -23,7 +22,9 @@
 #include "src/harness/stack.h"
 #include "src/metrics/metrics.h"
 #include "src/profile/critical_path.h"
+#include "src/profile/report.h"
 #include "src/profile/tail/tail.h"
+#include "src/profile/whatif.h"
 #include "src/trace/trace_context.h"
 #include "src/workload/minikv.h"
 
@@ -240,8 +241,7 @@ TEST(TailForensicsTest, TailDiffSeparatesTailFromOverallAndSumsExactly) {
   CriticalPathProfiler profiler;
   TailForensics tail;
   tail.Attach(&profiler);
-  // 9 fast requests dominated by tx_durable, 1 slow outlier dominated by GC
-  // (the whatif tail-attribution shape).
+  // 9 fast requests dominated by tx_durable, 1 slow outlier dominated by GC.
   for (uint64_t i = 0; i < 9; ++i) {
     const uint64_t base = i * 1000;
     FeedRequest(profiler, {Wait(WaitEdge::kTxDurable, base, 80, i + 1)}, base, 100,
@@ -335,7 +335,7 @@ TEST(TailWorkloadTest, CleanRunHasZeroSignaturesAndExactConsistency) {
 
 // The observer contract: attaching the full tail layer (metrics snapshots
 // included) must not move a single virtual-time event, and two identical
-// runs must produce byte-identical ccnvme-tail-v2 documents.
+// runs must produce byte-identical ccnvme-perf-v2 documents.
 TEST(TailWorkloadTest, TailDoesNotPerturbVirtualTimeAndIsDeterministic) {
   uint64_t bare_end;
   {
@@ -347,6 +347,8 @@ TEST(TailWorkloadTest, TailDoesNotPerturbVirtualTimeAndIsDeterministic) {
     StorageStack stack(MqfsFsyncConfig());
     CriticalPathProfiler& profiler = stack.EnableProfiling();
     Metrics& metrics = stack.EnableMetrics();
+    WhatIfEngine engine;
+    engine.Attach(&profiler);
     TailForensics tail;
     tail.Attach(&profiler);
     tail.set_metrics(&metrics);
@@ -356,7 +358,7 @@ TEST(TailWorkloadTest, TailDoesNotPerturbVirtualTimeAndIsDeterministic) {
     info.stack = "mqfs";
     info.mode = "fsync";
     info.iters = 30;
-    *json = TailReportJson(tail, info);
+    *json = PerfReportJson(profiler, engine, tail, info);
     return end;
   };
   std::string json_a, json_b;
@@ -632,10 +634,12 @@ TEST(TailReportTest, ExemplarJsonRoundTripsLosslessly) {
   EXPECT_EQ(back.verdicts.size(), ex.verdicts.size());
 }
 
-TEST(TailReportTest, TailReportJsonValidatesAndTamperingIsCaught) {
+TEST(TailReportTest, PerfReportTailSectionValidatesAndTamperingIsCaught) {
   StorageStack stack(MqfsFsyncConfig());
   CriticalPathProfiler& profiler = stack.EnableProfiling();
   Metrics& metrics = stack.EnableMetrics();
+  WhatIfEngine engine;
+  engine.Attach(&profiler);
   TailForensics tail;
   tail.Attach(&profiler);
   tail.set_metrics(&metrics);
@@ -645,12 +649,12 @@ TEST(TailReportTest, TailReportJsonValidatesAndTamperingIsCaught) {
   info.stack = "mqfs";
   info.mode = "fsync";
   info.iters = 30;
-  const std::string json = TailReportJson(tail, info);
+  const std::string json = PerfReportJson(profiler, engine, tail, info);
   JsonValue doc;
   std::string perr;
   ASSERT_TRUE(JsonParse(json, &doc, &perr)) << perr;
   std::string verr;
-  EXPECT_TRUE(ValidateTailReportJson(doc, &verr)) << verr;
+  EXPECT_TRUE(ValidatePerfReportJson(doc, &verr)) << verr;
 
   // Dropping the signature section must be caught.
   const size_t cut = json.find("\"signatures\"");
@@ -659,17 +663,34 @@ TEST(TailReportTest, TailReportJsonValidatesAndTamperingIsCaught) {
   broken.replace(cut, std::strlen("\"signatures\""), "\"signatxres\"");
   JsonValue bad;
   ASSERT_TRUE(JsonParse(broken, &bad, &perr)) << perr;
-  EXPECT_FALSE(ValidateTailReportJson(bad, &verr));
+  EXPECT_FALSE(ValidatePerfReportJson(bad, &verr));
 
   // Forging one exemplar's blame entry breaks "blame sums to latency".
   JsonValue forged = doc;
-  std::vector<JsonValue>& exemplars = forged.obj.at("exemplars").arr;
+  std::vector<JsonValue>& exemplars = forged.obj.at("tail").obj.at("exemplars").arr;
   ASSERT_FALSE(exemplars.empty());
   std::vector<JsonValue>& blame = exemplars.front().obj.at("blame").arr;
   ASSERT_FALSE(blame.empty());
   blame.front().obj.at("ns").num += 1;
-  EXPECT_FALSE(ValidateTailReportJson(forged, &verr));
+  EXPECT_FALSE(ValidatePerfReportJson(forged, &verr));
   EXPECT_NE(verr.find("blame sums to"), std::string::npos) << verr;
+
+  // Tail shares summing to neither 0 nor 1 must be caught.
+  JsonValue half_tail = doc;
+  std::vector<JsonValue>& rows = half_tail.obj.at("blame").arr;
+  ASSERT_FALSE(rows.empty());
+  for (JsonValue& row : rows) row.obj.at("tail_share").num = 0.0;
+  rows.front().obj.at("tail_share").num = 0.5;
+  EXPECT_FALSE(ValidatePerfReportJson(half_tail, &verr));
+  EXPECT_NE(verr.find("tail blame shares sum to"), std::string::npos) << verr;
+
+  // The retired schemas are unknown, not validated under their old rules.
+  for (const char* retired : {"ccnvme-tail-v2", "ccnvme-perf-v1"}) {
+    JsonValue old_doc = doc;
+    old_doc.obj.at("schema").str = retired;
+    EXPECT_FALSE(ValidatePerfReportJson(old_doc, &verr));
+    EXPECT_NE(verr.find("unknown schema"), std::string::npos) << verr;
+  }
 
   const std::string text = FormatTailReport(tail);
   EXPECT_NE(text.find("signatures: none"), std::string::npos);

@@ -2,8 +2,9 @@
 // hand-built synthetic DAGs (chain, straggler fan-in, diamond, downstream
 // pipeline), zero-blame edges predict exactly zero gain (negative control),
 // the frontier ranks every registered edge, attaching the engine never
-// perturbs virtual time, and a real doorbell/NVLog knob sweep lands within
-// the stated prediction error bound.
+// perturbs virtual time, a real doorbell/NVLog knob sweep lands within the
+// stated prediction error bound, and the perf document's frontier validates
+// (and tampered frontiers do not).
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -17,6 +18,7 @@
 #include "src/harness/stack.h"
 #include "src/profile/critical_path.h"
 #include "src/profile/report.h"
+#include "src/profile/tail/tail.h"
 #include "src/profile/whatif.h"
 
 namespace ccnvme {
@@ -214,24 +216,6 @@ TEST(WhatIfSyntheticTest, ZeroBlameEdgePredictsExactlyZeroGain) {
   }
 }
 
-TEST(WhatIfSyntheticTest, TailAttributionSeparatesTailFromMean) {
-  CriticalPathProfiler profiler;
-  WhatIfEngine engine;
-  engine.Attach(&profiler);
-  // 9 fast requests dominated by tx_durable, 1 slow one dominated by GC.
-  for (uint64_t i = 0; i < 9; ++i) {
-    const uint64_t base = i * 1000;
-    FeedRequest(profiler, {Wait(WaitEdge::kTxDurable, base, 80, i + 1)}, base, 100,
-                i + 1);
-  }
-  FeedRequest(profiler, {Wait(WaitEdge::kFtlGc, 9000, 900, 10)}, 9000, 1000, 10);
-  const auto rows = engine.TailAttribution(0.9);
-  ASSERT_FALSE(rows.empty());
-  // The tail (the slow request) is blamed on GC, the mean on tx_durable.
-  EXPECT_EQ(rows.front().packed_key, BlameKey::Wait(WaitEdge::kFtlGc).packed());
-  EXPECT_GT(rows.front().tail_share, rows.front().mean_share);
-}
-
 TEST(WhatIfTest, WaitEdgeNameRoundTrip) {
   for (WaitEdge e : AllWaitEdges()) {
     EXPECT_EQ(WaitEdgeFromName(WaitEdgeName(e)), e);
@@ -351,20 +335,22 @@ TEST(WhatIfTest, PerfReportJsonValidates) {
   CriticalPathProfiler& profiler = stack.EnableProfiling();
   WhatIfEngine engine;
   engine.Attach(&profiler);
+  TailForensics tail;
+  tail.Attach(&profiler);
   RunFsyncWorkload(stack, 30);
 
   PerfReportInfo info;
   info.stack = "mqfs";
   info.mode = "fsync";
   info.iters = 30;
-  const std::string json = PerfReportJson(profiler, &engine, info);
+  const std::string json = PerfReportJson(profiler, engine, tail, info);
   JsonValue doc;
   std::string perr;
   ASSERT_TRUE(JsonParse(json, &doc, &perr)) << perr;
   std::string verr;
   EXPECT_TRUE(ValidatePerfReportJson(doc, &verr)) << verr;
 
-  // Tampering with the frontier must be caught: drop one edge's row.
+  // Tampering with the frontier must be caught: hide the whole section...
   const size_t cut = json.find("\"frontier\"");
   ASSERT_NE(cut, std::string::npos);
   std::string broken = json;
@@ -372,6 +358,14 @@ TEST(WhatIfTest, PerfReportJsonValidates) {
   JsonValue bad;
   ASSERT_TRUE(JsonParse(broken, &bad, &perr)) << perr;
   EXPECT_FALSE(ValidatePerfReportJson(bad, &verr));
+
+  // ...or drop one edge's row.
+  JsonValue short_frontier = doc;
+  std::vector<JsonValue>& rows = short_frontier.obj.at("whatif").obj.at("frontier").arr;
+  ASSERT_EQ(rows.size(), kNumWaitEdges);
+  rows.pop_back();
+  EXPECT_FALSE(ValidatePerfReportJson(short_frontier, &verr));
+  EXPECT_NE(verr.find("frontier covers"), std::string::npos) << verr;
 }
 
 }  // namespace

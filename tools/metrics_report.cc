@@ -12,14 +12,14 @@
 // nonzero violation count (across every snapshot read) — this is what CI
 // runs against clean-run dumps.
 //
-// A file whose top-level object carries "schema": "ccnvme-perf-v1" is a
-// perf_report --json document instead; it gets the structural what-if
-// validation (schema version, frontier covering every registered wait edge,
-// monotone virtual-speedup curves), and --check exits 1 on any violation.
-// "schema": "ccnvme-tail-v2" routes to the tail-forensics validation
-// (overall blame shares summing to 1, signature section covering every
-// registered pathology, window bookkeeping, every exemplar's blame vector
-// summing exactly to its end-to-end latency) the same way.
+// A file whose top-level object carries a "schema" key is a perf_report
+// --json document instead (only "ccnvme-perf-v2" is known; any other
+// schema is rejected); it gets the structural validation
+// of ValidatePerfReportJson (blame and tail shares summing to 1, frontier
+// covering every registered wait edge with monotone virtual-speedup curves,
+// signature section covering every registered pathology, window
+// bookkeeping, every exemplar's blame vector summing exactly to its
+// end-to-end latency), and --check exits 1 on any violation.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -30,7 +30,6 @@
 #include "src/common/json.h"
 #include "src/metrics/export.h"
 #include "src/profile/report.h"
-#include "src/profile/tail/tail.h"
 
 using namespace ccnvme;
 
@@ -174,10 +173,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "metrics_report: cannot read %s\n", path);
       return 2;
     }
-    // perf_report documents route to the what-if structural validation.
+    // Metrics snapshots carry no "schema" key, so any document that names
+    // one is a perf_report document; a retired or unknown schema fails the
+    // validation instead of reading as an empty snapshot.
     JsonValue doc;
     if (JsonParse(text, &doc, nullptr) && doc.type == JsonValue::Type::kObject &&
-        doc.Str("schema") == kPerfReportSchema) {
+        !doc.Str("schema").empty()) {
       if (files.size() != 1) {
         std::fprintf(stderr, "metrics_report: cannot diff a %s document\n",
                      kPerfReportSchema);
@@ -189,38 +190,17 @@ int main(int argc, char** argv) {
                      kPerfReportSchema, perr.c_str());
         return check ? 1 : 2;
       }
-      const JsonValue* whatif = doc.Find("whatif");
-      const JsonValue* frontier = whatif != nullptr ? whatif->Find("frontier") : nullptr;
-      std::printf("%s: valid %s document (%llu requests, frontier over %zu edges)\n",
-                  path, kPerfReportSchema,
-                  static_cast<unsigned long long>(doc.U64("requests")),
-                  frontier != nullptr ? frontier->arr.size() : 0);
-      return 0;
-    }
-    if (JsonParse(text, &doc, nullptr) && doc.type == JsonValue::Type::kObject &&
-        doc.Str("schema") == kTailReportSchema) {
-      if (files.size() != 1) {
-        std::fprintf(stderr, "metrics_report: cannot diff a %s document\n",
-                     kTailReportSchema);
-        return 2;
-      }
-      std::string terr;
-      if (!ValidateTailReportJson(doc, &terr)) {
-        std::fprintf(stderr, "metrics_report: %s: invalid %s document: %s\n", path,
-                     kTailReportSchema, terr.c_str());
-        return check ? 1 : 2;
-      }
-      const JsonValue* exemplars = doc.Find("exemplars");
-      const JsonValue* sigs = doc.Find("signatures");
+      const JsonValue& tail = doc.obj.at("tail");
       uint64_t signature_total = 0;
-      if (sigs != nullptr) {
-        for (const JsonValue& row : sigs->arr) signature_total += row.U64("count");
+      for (const JsonValue& row : tail.obj.at("signatures").arr) {
+        signature_total += row.U64("count");
       }
       std::printf(
-          "%s: valid %s document (%llu requests, %zu exemplar(s), %llu signature "
-          "match(es))\n",
-          path, kTailReportSchema, static_cast<unsigned long long>(doc.U64("requests")),
-          exemplars != nullptr ? exemplars->arr.size() : 0,
+          "%s: valid %s document (%llu requests, frontier over %zu edges, %zu "
+          "exemplar(s), %llu signature match(es))\n",
+          path, kPerfReportSchema, static_cast<unsigned long long>(doc.U64("requests")),
+          doc.obj.at("whatif").obj.at("frontier").arr.size(),
+          tail.obj.at("exemplars").arr.size(),
           static_cast<unsigned long long>(signature_total));
       return 0;
     }

@@ -17,13 +17,16 @@
 using namespace ccnvme;
 
 int main(int argc, char** argv) {
-  if (argc < 2) {
-    std::fprintf(stderr,
+  // The image path comes first; a leading dash is a flag, never a path.
+  if (argc < 2 || argv[1][0] == '-') {
+    const bool help = argc >= 2 && (std::strcmp(argv[1], "--help") == 0 ||
+                                    std::strcmp(argv[1], "-h") == 0);
+    std::fprintf(help ? stdout : stderr,
                  "usage: %s <image-path> [--blocks N] [--journal-areas N] "
                  "[--journal-blocks N] [--devices N] [--mirror | --chunk N] "
                  "[--journal mqfs|nvlog] [--kv]\n",
                  argv[0]);
-    return 2;
+    return help ? 0 : 2;
   }
   const std::string path = argv[1];
   StackConfig cfg;

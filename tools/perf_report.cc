@@ -1,15 +1,15 @@
 // Causal critical-path bottleneck report for the Fig. 14 workload: create +
 // 4 KB write + fsync()/fatomic() on MQFS over ccNVMe, profiled with the
 // critical-path engine (src/profile). Prints the top-k blame table, the
-// wait-edge expansion ("where the 3% goes"), per-key blame histograms and
-// the slowest request's exact critical path; optionally dumps a flame-style
-// JSON for external viewers.
+// wait-edge expansion ("where the 3% goes") and per-key blame histograms;
+// optionally dumps a flame-style JSON for external viewers.
 //
 // Usage:
 //   perf_report [--stack mqfs|nvlog] [--mode fsync|fatomic] [--iters N]
 //               [--warmup N] [--top K] [--detail K] [--flame PATH]
 //               [--no-histograms] [--queues N] [--threads N]
 //               [--whatif EDGE] [--whatif-all] [--json PATH]
+//               [--tail] [--tail-window NS] [--pathology doorbell_herd]
 //
 // The tool exists to answer one question by name: which edge dominates the
 // end-to-end latency of a durable write. On the default workload that is the
@@ -21,26 +21,27 @@
 // The what-if flags go one step further: blame says where time went; the
 // causal what-if engine says what you would GET BACK by attacking an edge.
 // --whatif-all prints the optimization frontier (every registered wait edge
-// ranked by predicted causal gain, blame share alongside) plus the
-// mean-vs-p99 tail attribution; --whatif EDGE prints one edge's full
-// virtual-speedup curve; --json writes the machine-readable ccnvme-perf-v1
-// document `metrics_report --check` validates.
+// ranked by predicted causal gain, blame share alongside); --whatif EDGE
+// prints one edge's full virtual-speedup curve.
 //
 // The tail flags answer the question the aggregates cannot: why was THIS
 // request 40x slower? --tail attaches the tail-forensics layer
 // (src/profile/tail) and prints the median-vs-p99.9 blame diff, the
-// pathology signature counts and the captured outlier exemplars;
-// --tail-json writes the machine-readable ccnvme-tail-v2 document
-// `metrics_report --check` validates; --pathology NAME deliberately
-// provokes a named pathology (the bench/core_pathologies knobs) so the
-// classifier's positive direction can be exercised from the CLI — the CI
-// gate runs both a clean run (asserting zero signatures) and an injected
-// doorbell herd (asserting it is classified).
+// pathology signature counts and the captured outlier exemplars (exemplar
+// [0] is the slowest request, with its exact critical path); --pathology
+// NAME deliberately provokes a named pathology (the bench/core_pathologies
+// knobs) so the classifier's positive direction can be exercised from the
+// CLI — the CI gate runs both a clean run (asserting zero signatures) and
+// an injected doorbell herd (asserting it is classified).
+//
+// --json PATH attaches both layers and writes the one machine-readable
+// ccnvme-perf-v2 document — blame with per-key tail shares, the what-if
+// frontier, and the tail section (quantiles, windows, signatures,
+// exemplars) — that `metrics_report --check` validates.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "src/harness/stack.h"
 #include "src/profile/report.h"
@@ -55,10 +56,24 @@ int Usage(const char* argv0, int code) {
                "          [--warmup N] [--top K] [--detail K] [--flame PATH]\n"
                "          [--no-histograms] [--queues N] [--threads N]\n"
                "          [--whatif EDGE] [--whatif-all] [--json PATH]\n"
-               "          [--tail] [--tail-json PATH] [--tail-window NS]\n"
-               "          [--pathology doorbell_herd]\n",
+               "          [--tail] [--tail-window NS] [--pathology doorbell_herd]\n",
                argv0);
   return code;
+}
+
+// Writes |contents| to |path| and reports it; false when the file cannot be
+// written.
+bool WriteReport(const std::string& path, const std::string& contents,
+                 const std::string& what) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "cannot write %s\n", path.c_str());
+    return false;
+  }
+  std::fwrite(contents.data(), 1, contents.size(), f);
+  std::fclose(f);
+  std::printf("wrote %s to %s\n", what.c_str(), path.c_str());
+  return true;
 }
 
 int RunPerfReport(int argc, char** argv) {
@@ -67,7 +82,6 @@ int RunPerfReport(int argc, char** argv) {
   std::string flame_path;
   std::string json_path;
   std::string whatif_edge;
-  std::string tail_json_path;
   std::string pathology_name;
   bool whatif_all = false;
   bool tail_report = false;
@@ -110,8 +124,6 @@ int RunPerfReport(int argc, char** argv) {
       json_path = jv;
     } else if (arg == "--tail") {
       tail_report = true;
-    } else if (const char* tjv = value("--tail-json")) {
-      tail_json_path = tjv;
     } else if (const char* twv = value("--tail-window")) {
       tail_window_ns = static_cast<uint64_t>(std::atoll(twv));
     } else if (const char* pv = value("--pathology")) {
@@ -153,7 +165,7 @@ int RunPerfReport(int argc, char** argv) {
   }
   const bool want_whatif =
       whatif_all || curve_edge != WaitEdge::kNumEdges || !json_path.empty();
-  const bool want_tail = tail_report || !tail_json_path.empty();
+  const bool want_tail = tail_report || !json_path.empty();
 
   StackConfig cfg;
   cfg.ssd = SsdConfig::Optane905P();
@@ -240,29 +252,8 @@ int RunPerfReport(int argc, char** argv) {
   if (tail_report) {
     std::printf("\n%s", FormatTailReport(tail).c_str());
   }
-  if (!tail_json_path.empty()) {
-    PerfReportInfo info;
-    info.stack = stack_name;
-    info.mode = mode;
-    info.iters = iters;
-    info.warmup = warmup;
-    info.threads = threads;
-    info.queues = queues;
-    const std::string doc = TailReportJson(tail, info, /*pretty=*/true);
-    std::FILE* f = std::fopen(tail_json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", tail_json_path.c_str());
-      return 2;
-    }
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote tail JSON (%s) to %s\n", kTailReportSchema,
-                tail_json_path.c_str());
-  }
-
   if (whatif_all) {
     std::printf("\n%s", FormatFrontierTable(engine).c_str());
-    std::printf("\n%s", FormatTailAttribution(engine).c_str());
   }
   if (curve_edge != WaitEdge::kNumEdges) {
     std::printf("\n%s", FormatWhatIfCurve(engine, curve_edge).c_str());
@@ -275,27 +266,14 @@ int RunPerfReport(int argc, char** argv) {
     info.warmup = warmup;
     info.threads = threads;
     info.queues = queues;
-    const std::string doc = PerfReportJson(profiler, &engine, info, /*pretty=*/true);
-    std::FILE* f = std::fopen(json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
+    std::printf("\n");
+    if (!WriteReport(json_path, PerfReportJson(profiler, engine, tail, info),
+                     std::string("perf JSON (") + kPerfReportSchema + ")")) {
       return 2;
     }
-    std::fwrite(doc.data(), 1, doc.size(), f);
-    std::fclose(f);
-    std::printf("\nwrote perf JSON (%s) to %s\n", kPerfReportSchema, json_path.c_str());
   }
-
-  if (!flame_path.empty()) {
-    const std::string flame = FlameJson(profiler, /*pretty=*/true);
-    std::FILE* f = std::fopen(flame_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", flame_path.c_str());
-      return 2;
-    }
-    std::fwrite(flame.data(), 1, flame.size(), f);
-    std::fclose(f);
-    std::printf("wrote flame JSON to %s\n", flame_path.c_str());
+  if (!flame_path.empty() && !WriteReport(flame_path, FlameJson(profiler), "flame JSON")) {
+    return 2;
   }
   return 0;
 }
