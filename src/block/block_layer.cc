@@ -201,6 +201,17 @@ Status BlockLayer::ReadSync(uint64_t lba, uint32_t num_blocks, Buffer* out) {
   return nvme_->Read(actor_queue.get(), lba, num_blocks, out);
 }
 
+Status BlockLayer::WriteBack(const std::map<uint64_t, Buffer>& blocks) {
+  std::vector<NvmeDriver::RequestHandle> handles;
+  for (const auto& [lba, data] : blocks) {
+    handles.push_back(SubmitWrite(lba, &data, 0));
+  }
+  for (auto& h : handles) {
+    CCNVME_RETURN_IF_ERROR(Wait(h));
+  }
+  return FlushSync();
+}
+
 Status BlockLayer::FlushSync() {
   Simulator::Sleep(costs_.block_layer_submit_ns);
   if (!needs_flush_) {

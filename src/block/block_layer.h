@@ -63,6 +63,12 @@ class BlockLayer {
   Status FlushSync();
   Status Wait(const NvmeDriver::RequestHandle& req) { return nvme_->Wait(req); }
 
+  // Newest-wins write-back: |blocks| maps each home block to its final
+  // bytes (the caller keeps only the newest copy of each). Submits every
+  // write asynchronously in LBA order, waits for all of them, then flushes
+  // once. NVLog's drain and every journal's recovery write through here.
+  Status WriteBack(const std::map<uint64_t, Buffer>& blocks);
+
   // --- ccNVMe transactional path -----------------------------------------
 
   bool has_ccnvme() const { return cc_ != nullptr; }

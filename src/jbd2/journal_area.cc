@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <utility>
 
 #include "src/block/block_layer.h"
 #include "src/metrics/metrics.h"
@@ -21,6 +22,14 @@ Status JournalArea::WriteSuper(BlockLayer* blk) const {
   asb.Serialize(buf);
   return blk->WriteSync(start, buf, kBioFua);
 }
+
+namespace {
+
+// Recovery writes home blocks back in batches of at most this many (1 MB of
+// payload): a full journal is never held in memory at once.
+constexpr size_t kReplayBatchBlocks = 256;
+
+}  // namespace
 
 Status RecoverJournalAreas(Simulator* sim, BlockLayer* blk,
                            const std::vector<JournalArea*>& areas, bool over_ccnvme,
@@ -108,31 +117,59 @@ Status RecoverJournalAreas(Simulator* sim, BlockLayer* blk,
     area->free = area->blocks - 1;
   }
 
-  // Global order across areas comes from the transaction IDs (§4.4): link
-  // all areas' transactions and replay sequentially (§5.5).
+  // Global order across areas comes from the transaction IDs (§4.4).
   std::sort(txs.begin(), txs.end(),
             [](const ReplayTx& a, const ReplayTx& b) { return a.desc.tx_id < b.desc.tx_id; });
 
-  // Revocations: a block revoked at tx R must not be replayed from tx < R.
+  // Revocations: a block revoked at tx R must not be replayed from tx <= R.
   std::map<BlockNo, uint64_t> revmap;
   for (const ReplayTx& rt : txs) {
     for (BlockNo lba : rt.desc.revoked) {
       revmap[lba] = std::max(revmap[lba], rt.desc.tx_id);
     }
   }
+  // Replaying every copy in TxID order (§5.5) leaves each home block with
+  // its newest copy, unless a revocation covers that copy — and then it
+  // covers every older one too. So only the newest non-revoked copy of each
+  // home is written, once.
+  std::map<BlockNo, std::pair<uint64_t, BlockNo>> newest;  // home -> (tx id, journal lba)
   for (const ReplayTx& rt : txs) {
     for (size_t i = 0; i < rt.desc.entries.size(); ++i) {
-      const BlockNo home = rt.desc.entries[i].home_lba;
-      auto it = revmap.find(home);
-      if (it != revmap.end() && it->second >= rt.desc.tx_id) {
-        continue;
-      }
-      Buffer content;
-      CCNVME_RETURN_IF_ERROR(blk->ReadSync(rt.journal_lbas[i], 1, &content));
-      CCNVME_RETURN_IF_ERROR(blk->WriteSync(home, content));
+      newest[rt.desc.entries[i].home_lba] = {rt.desc.tx_id, rt.journal_lbas[i]};
     }
   }
-  CCNVME_RETURN_IF_ERROR(blk->FlushSync());
+  std::vector<std::pair<BlockNo, BlockNo>> copies;  // (journal lba, home)
+  for (const auto& [home, copy] : newest) {
+    auto it = revmap.find(home);
+    if (it == revmap.end() || it->second < copy.first) {
+      copies.emplace_back(copy.second, home);
+    }
+  }
+  // Read the copies in runs of consecutive journal blocks and write them
+  // back in bounded batches.
+  std::sort(copies.begin(), copies.end());
+  std::map<uint64_t, Buffer> batch;
+  for (size_t i = 0; i < copies.size();) {
+    size_t j = i + 1;
+    while (j < copies.size() && copies[j].first == copies[j - 1].first + 1 &&
+           batch.size() + (j - i) < kReplayBatchBlocks) {
+      ++j;
+    }
+    Buffer run;
+    CCNVME_RETURN_IF_ERROR(blk->ReadSync(copies[i].first, static_cast<uint32_t>(j - i), &run));
+    for (size_t k = i; k < j; ++k) {
+      const auto at = run.begin() + static_cast<long>((k - i) * kFsBlockSize);
+      batch[copies[k].second] = Buffer(at, at + static_cast<long>(kFsBlockSize));
+    }
+    i = j;
+    if (batch.size() == kReplayBatchBlocks) {
+      CCNVME_RETURN_IF_ERROR(blk->WriteBack(batch));
+      batch.clear();
+    }
+  }
+  // The last batch; its flush also orders every replayed block before the
+  // area resets below.
+  CCNVME_RETURN_IF_ERROR(blk->WriteBack(batch));
   for (JournalArea* area : areas) {
     CCNVME_RETURN_IF_ERROR(area->WriteSuper(blk));
   }

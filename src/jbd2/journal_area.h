@@ -45,10 +45,11 @@ struct JournalArea {
 };
 
 // Mount-time recovery of |areas|: scans each area from its superblock up to
-// the first stale or invalid record, replays every scanned transaction in
-// TxID order (skipping copies older than a revocation), flushes, and resets
-// each area to empty at the end of its scan. |over_ccnvme| selects the
-// ccNVMe layout: no commit record, and only in-window transactions are
+// the first stale or invalid record; writes back the newest non-revoked
+// copy of each home block (the image a replay of every transaction in TxID
+// order would leave) with BlockLayer::WriteBack, in bounded batches; and
+// resets each area to empty at the end of its scan. |over_ccnvme| selects
+// the ccNVMe layout: no commit record, and only in-window transactions are
 // validated. |skip_window_scan| is ExtFsOptions::test_skip_psq_window_scan.
 Status RecoverJournalAreas(Simulator* sim, BlockLayer* blk,
                            const std::vector<JournalArea*>& areas, bool over_ccnvme,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/extfs/extfs.h"
@@ -24,10 +25,10 @@ NvLogScan NvLog::Init() {
     RingStore(0, zero);
     nvm_->FlushFence();
   }
-  // One timed load of the whole region, then the shared offline scanner.
-  Buffer snap(nvm_->size());
-  nvm_->Load(0, snap);
-  NvLogScan scan = ScanNvLogImage(snap);
+  // The shared scanner over timed loads: the control block, then only the
+  // entries it walks from the drain frontier.
+  NvLogScan scan = ScanNvLogImage(
+      nvm_->size(), [this](size_t off, std::span<uint8_t> out) { nvm_->Load(off, out); });
   CCNVME_CHECK(scan.ctrl.valid) << "NVM log invalid after format: " << scan.stop_reason;
   head_off_ = scan.ctrl.head_off;
   head_seq_ = scan.ctrl.head_seq;
@@ -127,7 +128,7 @@ NvLogJournal::NvLogJournal(Simulator* sim, BlockLayer* blk, NvmDevice* nvm,
       drain_cv_(sim),
       space_cv_(sim),
       idle_cv_(sim) {
-  log_.Init();
+  mount_scan_ = log_.Init();
   CCNVME_CHECK_GE(options_.drainers, 1u) << "NvLog needs at least one drainer";
   for (uint32_t i = 0; i < options_.drainers; ++i) {
     sim_->Spawn("nvlog_draind/" + std::to_string(i), [this] { DrainLoop(); });
@@ -335,16 +336,9 @@ Status NvLogJournal::DrainBatch(const Batch& batch) {
     }
   }
   coalesced_blocks_ += logged_blocks - writes.size();
-
-  std::vector<NvmeDriver::RequestHandle> handles;
-  for (const auto& [lba, payload] : writes) {
-    handles.push_back(blk_->SubmitWrite(lba, &payload, 0));
-  }
-  for (auto& h : handles) {
-    CCNVME_RETURN_IF_ERROR(blk_->Wait(h));
-  }
-  // Checkpointed blocks must be durable before their log space is reused.
-  CCNVME_RETURN_IF_ERROR(blk_->FlushSync());
+  // Checkpointed blocks must be durable before their log space is reused:
+  // the write-back ends with a flush.
+  CCNVME_RETURN_IF_ERROR(blk_->WriteBack(writes));
   drained_entries_ += batch.entries.size();
   drain_batches_++;
   return OkStatus();
@@ -393,26 +387,28 @@ void NvLogJournal::RetireBatch(const Batch& batch) {
 
 Status NvLogJournal::Recover() {
   ScopedSpan span(sim_->tracer(), TracePoint::kNvlogRecover);
-  Buffer snap(nvm_->size());
-  nvm_->Load(0, snap);
-  const NvLogScan scan = ScanNvLogImage(snap);
-  if (!scan.ctrl.valid || scan.tail.empty()) {
+  // The mount's scan (NvLog::Init) already loaded and validated the tail;
+  // recovery consumes it instead of reading the log again.
+  NvLogScan scan = std::exchange(mount_scan_, {});
+  if (scan.tail.empty()) {
     return OkStatus();
   }
   // The scan's entries survived the cut with valid checksums — durable.
   const uint64_t durable_seq = scan.tail.back().seq;
+  // Sequence order, newest copy of each home block wins: the same bytes a
+  // replay of every entry would leave, each home written once.
+  std::map<uint64_t, Buffer> writes;
   size_t freed = 0;
-  for (const NvLogEntryInfo& e : scan.tail) {
+  for (NvLogEntryInfo& e : scan.tail) {
     if (Metrics* m = sim_->metrics()) {
       m->monitors().OnNvlogCheckpoint(e.seq, durable_seq);
     }
     for (size_t b = 0; b < e.home_lbas.size(); ++b) {
-      const Buffer payload = ReadNvLogPayload(snap, e, b);
-      CCNVME_RETURN_IF_ERROR(blk_->WriteSync(e.home_lbas[b], payload));
+      writes[e.home_lbas[b]] = std::move(e.payloads[b]);
     }
     freed += e.entry_bytes;
   }
-  CCNVME_RETURN_IF_ERROR(blk_->FlushSync());
+  CCNVME_RETURN_IF_ERROR(blk_->WriteBack(writes));
   log_.AdvanceHead(scan.tail_end_off, durable_seq, freed);
   drained_entries_ += scan.tail.size();
   drain_batches_++;

@@ -9,7 +9,8 @@
 // after an absorb window, checkpoints batches of entries to their home
 // locations through the block stack (coalescing repeated writes to the
 // same block), and then truncates the log by advancing the persistent
-// drain frontier. Mount-time recovery replays the undrained tail.
+// drain frontier. Mount-time recovery replays the undrained tail the mount
+// scanned, newest copy of each home block only.
 //
 // Ordering invariant (the 13th online monitor, nvm.log_drain_order): no
 // checkpoint block may reach media before its covering log entry is
@@ -48,8 +49,10 @@ class NvLog {
   NvLog(Simulator* sim, NvmDevice* nvm);
 
   // Formats a fresh log if no valid one exists, then initializes the
-  // cursors from a scan of the surviving image. Must run inside an actor
-  // (timed NVM traffic). Returns the scanned undrained tail.
+  // cursors from one scan of the surviving log: timed loads of the control
+  // block and of the undrained tail it walks, nothing else. Must run inside
+  // an actor (timed NVM traffic). Returns the scanned tail, payloads
+  // included — recovery replays from it without loading the log again.
   NvLogScan Init();
 
   size_t ring_bytes() const { return nvm_->size() - kNvLogCtrlBytes; }
@@ -169,6 +172,8 @@ class NvLogJournal : public Journal {
   ExtFs* fs_;
   NvLogOptions options_;
   NvLog log_;
+  // The mount's scan of the surviving log; Recover consumes it.
+  NvLogScan mount_scan_;
 
   SimMutex mu_;
   SimCondVar drain_cv_;  // appended entries are waiting / a conflict cleared

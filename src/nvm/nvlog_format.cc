@@ -24,27 +24,36 @@ Buffer EncodeNvLogHeader(uint64_t seq, uint64_t tx_id, const std::vector<NvLogBl
   return header;
 }
 
-Buffer NvLogRingRead(std::span<const uint8_t> nvm, size_t off, size_t len) {
-  const size_t ring = nvm.size() - kNvLogCtrlBytes;
+namespace {
+
+// Wrap-aware read of ring bytes [off, off+len) into a fresh buffer. |off|
+// is ring-relative (0 = first ring byte).
+Buffer RingRead(const NvLogReader& read, size_t ring, size_t off, size_t len) {
   CCNVME_CHECK_LT(off, ring);
   CCNVME_CHECK_LE(len, ring);
   Buffer out(len);
   const size_t first = std::min(len, ring - off);
-  std::copy_n(nvm.begin() + static_cast<long>(kNvLogCtrlBytes + off), first, out.begin());
+  read(kNvLogCtrlBytes + off, std::span<uint8_t>(out).first(first));
   if (first < len) {
-    std::copy_n(nvm.begin() + kNvLogCtrlBytes, len - first, out.begin() + static_cast<long>(first));
+    read(kNvLogCtrlBytes, std::span<uint8_t>(out).subspan(first));
   }
   return out;
 }
 
-NvLogScan ScanNvLogImage(std::span<const uint8_t> nvm) {
+}  // namespace
+
+NvLogScan ScanNvLogImage(size_t nvm_bytes, const NvLogReader& read) {
   NvLogScan scan;
-  if (nvm.size() <= kNvLogCtrlBytes || GetU64(nvm, 0) != kNvLogMagic) {
+  uint8_t ctrl[kNvLogHeadWordOffset + 8] = {};
+  if (nvm_bytes > kNvLogCtrlBytes) {
+    read(0, ctrl);
+  }
+  if (nvm_bytes <= kNvLogCtrlBytes || GetU64(ctrl, 0) != kNvLogMagic) {
     scan.stop_reason = "no log (bad magic)";
     return scan;
   }
-  const size_t ring = nvm.size() - kNvLogCtrlBytes;
-  const uint64_t head_word = GetU64(nvm, kNvLogHeadWordOffset);
+  const size_t ring = nvm_bytes - kNvLogCtrlBytes;
+  const uint64_t head_word = GetU64(ctrl, kNvLogHeadWordOffset);
   scan.ctrl.valid = true;
   scan.ctrl.head_off = NvLogHeadOff(head_word);
   scan.ctrl.head_seq = NvLogHeadSeq(head_word);
@@ -59,23 +68,24 @@ NvLogScan ScanNvLogImage(std::span<const uint8_t> nvm) {
   size_t scanned = 0;
   scan.tail_end_off = static_cast<uint32_t>(pos);
   for (;;) {
-    const Buffer fixed = NvLogRingRead(nvm, pos, 32);
-    if (GetU64(fixed, 0) != kNvLogEntryMagic) {
+    Buffer header = RingRead(read, ring, pos, 32);
+    if (GetU64(header, 0) != kNvLogEntryMagic) {
       scan.stop_reason = "end of log (no entry magic)";
       break;
     }
-    if (GetU64(fixed, 8) != seq) {
+    if (GetU64(header, 8) != seq) {
       scan.stop_reason = "sequence break (stale entry)";
       break;
     }
-    const uint32_t nblocks = GetU32(fixed, 24);
+    const uint32_t nblocks = GetU32(header, 24);
     if (nblocks == 0 || nblocks > kNvLogMaxBlocksPerEntry ||
         NvLogEntrySize(nblocks) + scanned > ring) {
       scan.stop_reason = "corrupt block count";
       break;
     }
     const size_t header_bytes = NvLogHeaderSize(nblocks);
-    const Buffer header = NvLogRingRead(nvm, pos, header_bytes);
+    const Buffer rest = RingRead(read, ring, (pos + 32) % ring, header_bytes - 32);
+    header.insert(header.end(), rest.begin(), rest.end());
     if (GetU64(header, header_bytes - 8) !=
         Fnv1a(std::span<const uint8_t>(header).first(header_bytes - 8))) {
       scan.stop_reason = "header checksum mismatch";
@@ -90,12 +100,13 @@ NvLogScan ScanNvLogImage(std::span<const uint8_t> nvm) {
     for (uint32_t b = 0; b < nblocks; ++b) {
       info.home_lbas.push_back(GetU64(header, 32 + 16 * b));
       info.checksums.push_back(GetU64(header, 32 + 16 * b + 8));
-      const Buffer payload =
-          NvLogRingRead(nvm, (pos + header_bytes + b * kFsBlockSize) % ring, kFsBlockSize);
+      Buffer payload =
+          RingRead(read, ring, (pos + header_bytes + b * kFsBlockSize) % ring, kFsBlockSize);
       if (Fnv1a(payload) != info.checksums.back()) {
         payload_ok = false;
         break;
       }
+      info.payloads.push_back(std::move(payload));
     }
     if (!payload_ok) {
       scan.stop_reason = "payload checksum mismatch";
@@ -110,13 +121,11 @@ NvLogScan ScanNvLogImage(std::span<const uint8_t> nvm) {
   return scan;
 }
 
-Buffer ReadNvLogPayload(std::span<const uint8_t> nvm, const NvLogEntryInfo& entry,
-                        size_t block_index) {
-  CCNVME_CHECK_LT(block_index, entry.home_lbas.size());
-  const size_t ring = nvm.size() - kNvLogCtrlBytes;
-  const size_t header_bytes = NvLogHeaderSize(entry.home_lbas.size());
-  const size_t off = (entry.ring_off + header_bytes + block_index * kFsBlockSize) % ring;
-  return NvLogRingRead(nvm, off, kFsBlockSize);
+NvLogScan ScanNvLogImage(std::span<const uint8_t> nvm) {
+  return ScanNvLogImage(nvm.size(), [nvm](size_t off, std::span<uint8_t> out) {
+    CCNVME_CHECK_LE(off + out.size(), nvm.size());
+    std::copy_n(nvm.begin() + static_cast<long>(off), out.size(), out.begin());
+  });
 }
 
 }  // namespace ccnvme

@@ -25,13 +25,16 @@
 // zeroes the 8-byte magic slot just past the new tail so the scan always
 // terminates at the genuine end, never at a stale previous-lap entry.
 //
-// Everything here is pure byte manipulation over a raw image span: the
-// online log (src/nvm/nvlog.h), mount-time recovery, tools/nvlog_inspect
-// and the crash tests all share this one scanner.
+// Everything here is pure byte manipulation. The one scanner reads the
+// region through a byte-range reader: the online log (src/nvm/nvlog.h)
+// passes timed NVM loads at mount, so a mount pays for the control block
+// and the tail it walks; tools/nvlog_inspect and the crash tests pass a raw
+// image span.
 #ifndef SRC_NVM_NVLOG_FORMAT_H_
 #define SRC_NVM_NVLOG_FORMAT_H_
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -73,10 +76,6 @@ constexpr uint64_t PackNvLogHead(uint64_t head_seq, uint32_t head_off) {
 constexpr uint64_t NvLogHeadSeq(uint64_t word) { return word >> 32; }
 constexpr uint32_t NvLogHeadOff(uint64_t word) { return static_cast<uint32_t>(word); }
 
-// Wrap-aware ring read of [off, off+len) into a fresh buffer. |off| is
-// ring-relative (0 = first ring byte).
-Buffer NvLogRingRead(std::span<const uint8_t> nvm, size_t off, size_t len);
-
 struct NvLogControl {
   bool valid = false;  // log magic present
   uint32_t head_off = 0;
@@ -90,6 +89,7 @@ struct NvLogEntryInfo {
   size_t entry_bytes = 0;
   std::vector<uint64_t> home_lbas;
   std::vector<uint64_t> checksums;
+  std::vector<Buffer> payloads;  // checksum-clean payloads, parallel to home_lbas
 };
 
 struct NvLogScan {
@@ -99,14 +99,16 @@ struct NvLogScan {
   std::string stop_reason;           // why the scan stopped
 };
 
-// Scans the undrained tail of a raw NVM image: parses the control block,
-// then walks consecutive-seq entries from the drain frontier, validating
-// header and payload checksums, stopping at the first invalid entry.
-NvLogScan ScanNvLogImage(std::span<const uint8_t> nvm);
+// Reads |out.size()| bytes of the NVM region at byte offset |off|.
+using NvLogReader = std::function<void(size_t off, std::span<uint8_t> out)>;
 
-// Extracts payload block |block_index| of a scanned entry.
-Buffer ReadNvLogPayload(std::span<const uint8_t> nvm, const NvLogEntryInfo& entry,
-                        size_t block_index);
+// Scans the undrained tail of an |nvm_bytes|-byte NVM region through
+// |read|: parses the control block, then walks consecutive-seq entries
+// from the drain frontier, validating header and payload checksums,
+// stopping at the first invalid entry. Reads nothing past that entry.
+NvLogScan ScanNvLogImage(size_t nvm_bytes, const NvLogReader& read);
+// The same scan over a raw NVM image.
+NvLogScan ScanNvLogImage(std::span<const uint8_t> nvm);
 
 }  // namespace ccnvme
 

@@ -4,6 +4,9 @@
 // full 1000 points per workload).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "src/crashtest/crash_monkey.h"
 
 namespace ccnvme {
@@ -137,11 +140,14 @@ TEST(CrashMonkeyVolatileCacheTest, MqfsOnFlashDrive) {
   ExpectAllPass(monkey.Run(CrashMonkey::CreateDelete(), 40));
 }
 
-TEST(CrashMonkeyMqfsTest, CrashDuringRecoveryIsIdempotent) {
-  // Double-crash: power-cut a workload, then power-cut the *recovery* at
-  // random points. Journal replay must be idempotent — every subsequent
-  // mount must still converge to a consistent state with the fsync'd data.
-  const StackConfig cfg = MqfsConfig();
+// Double-crash: power-cut a workload of five fsync'd files, then power-cut
+// the *recovery* of that image at random points. Every subsequent mount must
+// still converge to a consistent state with the fsync'd data. Recovery
+// submits its home writes asynchronously, so a cut at a point of its
+// recorded stream keeps every write completed before the point and any
+// subset of those still in flight; an NVM store survives if a fence
+// precedes the point, and at random if not.
+void ExpectCrashDuringRecoveryConverges(const StackConfig& cfg) {
   const Buffer payload(kFsBlockSize, 0x5E);
   CrashImage first_crash;
   {
@@ -154,40 +160,59 @@ TEST(CrashMonkeyMqfsTest, CrashDuringRecoveryIsIdempotent) {
         ASSERT_TRUE(stack.fs().Write(*ino, 0, payload).ok());
         ASSERT_TRUE(stack.fs().Fsync(*ino).ok());
       }
+      first_crash = stack.CaptureCrashImage();  // before any checkpoint or drain
     });
-    first_crash = stack.CaptureCrashImage();
   }
 
-  // Record the write stream of a full recovery.
-  std::vector<BioEvent> recovery_writes;
+  // Record the event stream of a full recovery.
+  std::vector<BioEvent> events;
   {
     StorageStack rec(cfg, first_crash);
-    rec.blk().set_recorder([&](const BioEvent& ev) {
-      if (ev.op == BioOp::kWrite) {
-        recovery_writes.push_back(ev);
-      }
-    });
+    rec.SetRecorder([&](const BioEvent& ev) { events.push_back(ev); });
     ASSERT_TRUE(rec.MountExisting().ok());
   }
-  ASSERT_FALSE(recovery_writes.empty()) << "recovery should write something";
+  ASSERT_TRUE(std::any_of(events.begin(), events.end(),
+                          [](const BioEvent& ev) { return ev.op == BioOp::kWrite; }))
+      << "recovery should write something";
 
   Rng rng(77);
-  for (int trial = 0; trial < 15; ++trial) {
-    // Crash the recovery after a random prefix of its writes. Recovery I/O
-    // is fully synchronous (each write completes before the next is
-    // submitted, on a PLP drive), so the physical crash states are exactly
-    // the prefixes of the recorded stream.
-    const size_t cut = rng.Uniform(recovery_writes.size() + 1);
-    CrashImage second = first_crash;
+  size_t max_in_flight = 0;
+  for (int trial = 0; trial < 20; ++trial) {
+    const size_t cut = rng.Uniform(events.size() + 1);
+    std::set<uint64_t> completed;
+    size_t fenced_before = 0;  // NVM stores at indices below this are fenced
     for (size_t i = 0; i < cut; ++i) {
-      const BioEvent& ev = recovery_writes[i];
-      const size_t blocks = ev.data.size() / kFsBlockSize;
-      for (size_t b = 0; b < blocks; ++b) {
-        second.media()[ev.lba + b] =
-            Buffer(ev.data.begin() + static_cast<long>(b * kFsBlockSize),
-                   ev.data.begin() + static_cast<long>((b + 1) * kFsBlockSize));
+      if (events[i].op == BioOp::kComplete) {
+        completed.insert(events[i].seq);
+      } else if (events[i].op == BioOp::kNvmFence) {
+        fenced_before = i;
       }
     }
+    CrashImage second = first_crash;
+    size_t in_flight = 0;
+    for (size_t i = 0; i < cut; ++i) {
+      const BioEvent& ev = events[i];
+      if (ev.op == BioOp::kWrite) {
+        if (completed.count(ev.seq) == 0) {
+          in_flight++;
+          if (rng.OneIn(2)) {
+            continue;  // still in flight at the cut: lost
+          }
+        }
+        const size_t blocks = ev.data.size() / kFsBlockSize;
+        for (size_t b = 0; b < blocks; ++b) {
+          second.media()[ev.lba + b] =
+              Buffer(ev.data.begin() + static_cast<long>(b * kFsBlockSize),
+                     ev.data.begin() + static_cast<long>((b + 1) * kFsBlockSize));
+        }
+      } else if (ev.op == BioOp::kNvmWrite) {
+        if (i >= fenced_before && rng.OneIn(2)) {
+          continue;  // unfenced store: lost
+        }
+        std::copy(ev.data.begin(), ev.data.end(), second.nvm.begin() + static_cast<long>(ev.lba));
+      }
+    }
+    max_in_flight = std::max(max_in_flight, in_flight);
     StorageStack again(cfg, second);
     ASSERT_TRUE(again.MountExisting().ok()) << "second recovery failed (trial " << trial << ")";
     again.Run([&] {
@@ -201,6 +226,21 @@ TEST(CrashMonkeyMqfsTest, CrashDuringRecoveryIsIdempotent) {
       }
     });
   }
+  EXPECT_GT(max_in_flight, 1u) << "no cut fell inside the asynchronous write-back";
+}
+
+TEST(CrashMonkeyMqfsTest, CrashDuringRecoveryIsIdempotent) {
+  ExpectCrashDuringRecoveryConverges(MqfsConfig());
+}
+
+TEST(CrashMonkeyNvlogTest, CrashDuringRecoveryIsIdempotent) {
+  StackConfig cfg;
+  cfg.num_queues = 2;
+  cfg.enable_ccnvme = false;
+  cfg.fs.journal = JournalKind::kNvlog;
+  cfg.fs.nvlog_drain_delay_ns = 1'000'000'000;  // the whole workload stays in the log
+  cfg.nvm.size_bytes = 1 << 20;
+  ExpectCrashDuringRecoveryConverges(cfg);
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // Covers the persistence primitives of the byte-addressable NVM device
 // model (live/durable views, flush+fence promotion, torn-store word masks),
 // the on-NVM NVLog wire format and scanner, the NVLog journal end-to-end on
-// a full stack (absorb-then-drain, remount persistence, the
+// a full stack (absorb-then-drain, remount persistence, recovery against
+// a sequential replay of the log and its mount cost, the
 // nvm.log_drain_order monitor catching the injected test_skip_nvlog_fence
 // bug live), crash-image round-trips carrying the NVM tier, randomized
 // crash sampling over the NVLog stack, and torn-store determinism of the
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <thread>
 
 #include "src/common/rng.h"
@@ -226,9 +228,9 @@ TEST(NvLogFormatTest, ScanWalksConsecutiveEntries) {
   EXPECT_EQ(scan.tail[1].home_lbas, (std::vector<uint64_t>{77}));
   EXPECT_EQ(scan.tail_end_off, off);
   EXPECT_EQ(scan.stop_reason, "end of log (no entry magic)");
-  // Payload extraction returns the exact logged bytes.
-  const Buffer payload = ReadNvLogPayload(image, scan.tail[0], 1);
-  EXPECT_EQ(payload, Buffer(kFsBlockSize, 0xA1));
+  // The scan carries the exact logged bytes.
+  ASSERT_EQ(scan.tail[0].payloads.size(), 2u);
+  EXPECT_EQ(scan.tail[0].payloads[1], Buffer(kFsBlockSize, 0xA1));
 }
 
 TEST(NvLogFormatTest, ScanStopsAtCorruptPayload) {
@@ -344,6 +346,104 @@ TEST(NvlogJournalTest, RepeatedOverwritesCoalesceInDrain) {
     EXPECT_EQ(out, Buffer(kFsBlockSize, 0x15)) << "newest logged content must win";
   });
   ASSERT_TRUE(stack.Unmount().ok());
+}
+
+// --- Recovery replays the mount's scan, each home block once --------------
+
+// Overwrites the same blocks across many fsyncs, unlinks a file and reuses
+// its space, and returns the image a power cut leaves right after the last
+// fsync: the wide absorb window keeps every entry undrained.
+CrashImage UndrainedOverwriteImage(const StackConfig& cfg) {
+  StorageStack stack(cfg);
+  CCNVME_CHECK(stack.MkfsAndMount().ok());
+  CrashImage image;
+  stack.Run([&] {
+    ExtFs& fs = stack.fs();
+    auto hot = fs.Create("/hot");
+    CCNVME_CHECK(hot.ok());
+    for (int round = 0; round < 12; ++round) {
+      const Buffer data(2 * kFsBlockSize, static_cast<uint8_t>(0x30 + round));
+      CCNVME_CHECK(fs.Write(*hot, 0, data).ok());
+      CCNVME_CHECK(fs.Fsync(*hot).ok());
+    }
+    auto gone = fs.Create("/gone");
+    CCNVME_CHECK(gone.ok());
+    CCNVME_CHECK(fs.Write(*gone, 0, Buffer(4 * kFsBlockSize, 0x66)).ok());
+    CCNVME_CHECK(fs.Fsync(*gone).ok());
+    CCNVME_CHECK(fs.Unlink("/gone").ok());
+    CCNVME_CHECK(fs.FsyncPath("/").ok());
+    auto fresh = fs.Create("/fresh");
+    CCNVME_CHECK(fresh.ok());
+    CCNVME_CHECK(fs.Write(*fresh, 0, Buffer(4 * kFsBlockSize, 0xD7)).ok());
+    CCNVME_CHECK(fs.Fsync(*fresh).ok());
+    image = stack.CaptureCrashImage();
+  });
+  return image;
+}
+
+StackConfig WideAbsorbNvlogConfig() {
+  StackConfig cfg = NvlogStackConfig();
+  cfg.fs.nvlog_drain_delay_ns = 1'000'000'000;  // nothing drains before the cut
+  return cfg;
+}
+
+TEST(NvlogRecoveryTest, NewestCopyPerHomeEqualsSequentialReplay) {
+  const StackConfig cfg = WideAbsorbNvlogConfig();
+  const CrashImage image = UndrainedOverwriteImage(cfg);
+  // Reference: every scanned entry replayed in sequence order.
+  const NvLogScan scan = ScanNvLogImage(image.nvm);
+  MediaStore::BlockMap expected = image.media();
+  std::set<uint64_t> homes;
+  size_t copies = 0;
+  for (const NvLogEntryInfo& e : scan.tail) {
+    for (size_t b = 0; b < e.home_lbas.size(); ++b) {
+      expected[e.home_lbas[b]] = e.payloads[b];
+      homes.insert(e.home_lbas[b]);
+      copies++;
+    }
+  }
+  ASSERT_GT(copies, homes.size()) << "workload must log some home block twice";
+
+  StorageStack after(cfg, image);
+  std::vector<uint64_t> home_writes;
+  after.blk().set_recorder([&](const BioEvent& ev) {
+    if (ev.op == BioOp::kWrite && ev.lba != 0) {
+      home_writes.push_back(ev.lba);
+    }
+  });
+  ASSERT_TRUE(after.MountExisting().ok());
+  EXPECT_EQ(home_writes.size(), homes.size()) << "recovery must write each home block once";
+  EXPECT_EQ(std::set<uint64_t>(home_writes.begin(), home_writes.end()), homes);
+  MediaStore::BlockMap recovered = after.CaptureCrashImage().media();
+  recovered.erase(0);  // the mount rewrites the superblock
+  expected.erase(0);
+  EXPECT_TRUE(recovered == expected) << "recovered media differs from a sequential replay";
+  after.Run([&] {
+    auto ino = after.fs().Lookup("/fresh");
+    ASSERT_TRUE(ino.ok());
+    Buffer out(4 * kFsBlockSize);
+    ASSERT_TRUE(after.fs().Read(*ino, 0, out).ok());
+    EXPECT_EQ(out, Buffer(4 * kFsBlockSize, 0xD7));
+    EXPECT_TRUE(after.fs().CheckConsistency().ok());
+  });
+}
+
+// The mount scans the log once, loading the control block and the tail it
+// walks: a recovery mount with a short tail costs less virtual time than a
+// single load of the whole region.
+TEST(NvlogRecoveryTest, MountLoadsOnlyTheWalkedTail) {
+  const StackConfig cfg = WideAbsorbNvlogConfig();
+  const CrashImage image = UndrainedOverwriteImage(cfg);
+  ASSERT_FALSE(ScanNvLogImage(image.nvm).tail.empty());
+  StorageStack after(cfg, image);
+  const uint64_t v0 = after.sim().now();
+  ASSERT_TRUE(after.MountExisting().ok());
+  const uint64_t mount_ns = after.sim().now() - v0;
+  const uint64_t region_load_ns =
+      cfg.nvm.size_bytes / kNvmLineSize * cfg.nvm.load_line_ns;  // 16,384 lines
+  EXPECT_LT(mount_ns, region_load_ns);
+  EXPECT_TRUE(ScanNvLogImage(after.nvm_device()->durable_image()).tail.empty())
+      << "recovery must truncate the replayed tail";
 }
 
 // --- The 13th online monitor: nvm.log_drain_order -------------------------
